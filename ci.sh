@@ -178,7 +178,7 @@ echo "==> server smoke (restuned: chaos tenants, SIGTERM drain, cache resume)"
 # tenant's deterministic sections must come out bit-identical to in-process
 # references. Then SIGTERM lands under load: the server must drain and exit
 # 0, and a restart over the same cache directory must serve the persisted
-# results back (cache hits, not recomputation).
+# results back (every job a cache hit, none recomputed).
 srv_dir=$(mktemp -d)
 sock="$srv_dir/restuned.sock"
 RESTUNE_CACHE_DIR="$srv_dir/cache" \
@@ -273,11 +273,16 @@ reference = json.load(open(f"{d}/ref_suite.json"))
 assert resumed["suite_check"] == reference["suite_check"], \
     "post-restart suite diverged from the in-process reference"
 log = open(f"{d}/restuned2.log").read()
-m = re.search(r"cache_hits=(\d+)", log)
+m = re.search(r"restuned: drained; (.*)", log)
 assert m, f"no drain summary in the restarted server log:\n{log}"
-assert int(m.group(1)) > 0, \
-    "the restarted server recomputed everything instead of serving its persisted cache"
-print(f"server smoke: restart served {m.group(1)} cache hits after SIGTERM drain")
+stats = {k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", m.group(1))}
+# The healthy tenants completed these very jobs before the drain, and every
+# record is persisted before its reply: the restart must simulate nothing.
+assert stats["cache_hits"] > 0 and stats["jobs_run"] == 0 \
+    and stats["cache_misses"] == 0, \
+    f"the restarted server recomputed jobs it had already answered: {stats}"
+print(f"server smoke: restart served all {stats['cache_hits']} jobs from its store "
+      f"after SIGTERM drain")
 EOF
 
 echo "==> mesh chaos smoke (3-host shard mesh: kill -KILL + restart, bit-identical)"
@@ -433,5 +438,12 @@ print(f"sweep ok: {len(lanes['sweep'])} points, {len(lanes['frontier'])} on the 
       f"frontier, byte-identical across lanes/serial/mesh, "
       f"{store['store_hits']} store-served on replay")
 EOF
+
+echo "==> benchmark smoke (restune-bench self-checks at the smoke budget)"
+# The repository benchmark is a cargo workspace of its own under benchmark/.
+# Its smoke test runs every workload, untraced and traced, on tiny budgets:
+# a server, store or isolation change that breaks a workload's self-checks
+# or drops a metric fails here rather than at benchmark time.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tier-1 green"

@@ -619,11 +619,22 @@ pub(crate) fn warn_identity_mismatch(
 /// tmp file, is fsynced, and is renamed over the target, so a crash or
 /// SIGKILL at any instant leaves either the old complete file or the new
 /// one — never a torn mix.
+///
+/// Every call gets its own tmp file (process id plus a process-wide
+/// sequence number), so concurrent writers of one path — two threads
+/// finishing the same run — each rename a complete file and the last
+/// rename wins; a shared tmp name would let one writer truncate or rename
+/// away the other's file mid-write.
 pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;

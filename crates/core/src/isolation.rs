@@ -33,6 +33,7 @@ use std::io::{Read as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use workloads::{registry, WorkloadProfile};
@@ -328,6 +329,10 @@ fn hard_kill_grace(timeout: Duration) -> Duration {
     timeout.max(Duration::from_secs(2))
 }
 
+/// The longest the parent sleeps between checks of the shutdown flag
+/// while it waits for a worker to finish.
+const EXIT_WAIT_SLICE: Duration = Duration::from_millis(50);
+
 /// Where a child's forwarded observability frames go.
 pub(crate) enum ObsRouting<'a> {
     /// Decode the obs frame and absorb it into this process's trace sink
@@ -446,59 +451,78 @@ pub(crate) fn process_attempt(
         let _ = stdin.flush();
     }
 
-    // Drain the child's stdout concurrently with the exit poll below. An
-    // observability frame can exceed the OS pipe buffer (waveform windows
-    // are kilobytes each), so reading only after exit would deadlock: the
-    // child blocks in write, the parent polls forever.
+    // Drain the child's stdout on a thread. An observability frame can
+    // exceed the OS pipe buffer (waveform windows are kilobytes each), so
+    // reading only after exit would deadlock: the child blocks in write,
+    // the parent waits forever. The drain hands its bytes over a channel
+    // at EOF — the moment the child exits — which is what the parent
+    // sleeps on, so a finished worker is reaped without any polling delay.
     let stdout_pipe = child.stdout.take();
+    let (eof_tx, eof_rx) = mpsc::channel();
     let drain = std::thread::spawn(move || {
         let mut buf = Vec::new();
         if let Some(mut pipe) = stdout_pipe {
             let _ = pipe.read_to_end(&mut buf);
         }
-        buf
+        let _ = eof_tx.send(buf);
     });
 
     let hard_deadline = timeout.map(|t| Instant::now() + t + hard_kill_grace(t));
-    let status = loop {
+    let drained = loop {
         if shutdown_requested() {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Some(Err((
+            break Err((
                 FailureKind::Interrupted,
                 "shutdown signal received; worker killed".to_string(),
-            )));
+            ));
         }
-        match child.try_wait() {
-            Ok(Some(status)) => break status,
-            Ok(None) => {
-                if hard_deadline.is_some_and(|d| Instant::now() >= d) {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Some(Err((
-                        FailureKind::Timeout,
-                        format!(
-                            "worker exceeded the hard wall-clock deadline \
-                             ({:?} + grace) and was killed",
-                            timeout.unwrap_or_default()
-                        ),
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) => {
-                let _ = child.kill();
-                return Some(Err((
+        let now = Instant::now();
+        if hard_deadline.is_some_and(|d| now >= d) {
+            break Err((
+                FailureKind::Timeout,
+                format!(
+                    "worker exceeded the hard wall-clock deadline \
+                     ({:?} + grace) and was killed",
+                    timeout.unwrap_or_default()
+                ),
+            ));
+        }
+        // Wake at least every slice to honour the shutdown flag, and
+        // exactly at the hard deadline.
+        let slice = hard_deadline.map_or(EXIT_WAIT_SLICE, |d| (d - now).min(EXIT_WAIT_SLICE));
+        match eof_rx.recv_timeout(slice) {
+            Ok(output) => break Ok(output),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                break Err((
                     FailureKind::Crash,
-                    format!("waiting on the worker failed: {e}"),
-                )));
+                    "the worker's stdout drain failed".to_string(),
+                ));
             }
         }
     };
-
-    // The child has exited, so its side of the pipe is closed and the
-    // drain thread reaches EOF promptly.
-    let output = drain.join().unwrap_or_default();
+    let output = match drained {
+        Ok(output) => output,
+        Err(failure) => {
+            // Killing the child closes its end of the pipe, so the drain
+            // thread reaches EOF and the join returns promptly.
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = drain.join();
+            return Some(Err(failure));
+        }
+    };
+    let _ = drain.join();
+    // Stdout reached EOF, so the child is exiting: reap it for its status.
+    let status = match child.wait() {
+        Ok(status) => status,
+        Err(e) => {
+            let _ = child.kill();
+            return Some(Err((
+                FailureKind::Crash,
+                format!("waiting on the worker failed: {e}"),
+            )));
+        }
+    };
 
     // The child may write an observability frame ahead of its reply:
     // absorb obs frames into this process's sink/registry, then classify

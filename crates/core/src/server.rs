@@ -22,10 +22,11 @@
 //!   finishes queued and in-flight jobs (each completed job lands in the
 //!   persistent result cache), then closes; a SIGTERM'd `restuned` does
 //!   exactly this, so a restarted server resumes from the cache;
-//! * **crash-consistent result cache** — completed jobs persist as
-//!   CRC-trailed rows written with the engine's atomic-write discipline,
-//!   so the same fingerprint is never simulated twice, across tenants
-//!   *and* across server restarts.
+//! * **crash-consistent result cache** — every completed job is one
+//!   [`RunStore`] record under `server/store/` in the cache directory,
+//!   fsync'd and renamed into place before its reply is sent, so the same
+//!   job is never simulated twice, across tenants *and* across server
+//!   restarts.
 //!
 //! Seeded *network* fault injection (`ServerConfig::net_fault_seed`,
 //! `restuned --faults`) arms a deterministic subset of accepted
@@ -44,7 +45,9 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::engine::CacheKey;
 use crate::fault::{FailureKind, NetFaultRuntime};
+use crate::sweep::RunStore;
 use crate::wire;
 
 // ---------------------------------------------------------------------------
@@ -290,8 +293,8 @@ pub struct ServerConfig {
     /// (see [`crate::fault::NetFaultSpec`]) on a seeded subset of accepted
     /// connections.
     pub net_fault_seed: Option<u64>,
-    /// Result-cache directory override; defaults to the engine's baseline
-    /// cache directory.
+    /// Cache directory override (the result store lives in its
+    /// `server/store/`); defaults to the engine's baseline cache directory.
     pub cache_dir: Option<PathBuf>,
     /// Host generation tag announced in the hello frame on every accepted
     /// connection. `None` derives a fresh tag per [`Server::start`], so a
@@ -368,164 +371,6 @@ fn fresh_generation() -> u64 {
         .unwrap_or(0);
     let start = STARTS.fetch_add(1, Ordering::Relaxed);
     crate::engine::fnv1a(format!("gen|{nanos}|{}|{start}", std::process::id()).as_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Shared result cache
-// ---------------------------------------------------------------------------
-
-/// Header line of the persistent result-cache file. v2 added the job
-/// identity string to every row, so a 64-bit fingerprint collision is
-/// detected instead of silently serving another job's result; v1 files
-/// are discarded (cheap — each row is one re-simulated run).
-const CACHE_HEADER: &str = "restune-server-cache v2";
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
-        .collect()
-}
-
-/// The shared cross-tenant result cache: fingerprint → (job identity,
-/// encoded result payload), persisted as a CRC-trailed row file with the
-/// engine's atomic-write discipline. The same job — across tenants,
-/// connections, and server restarts — is simulated exactly once. The
-/// identity string is verified on every read so a fingerprint collision
-/// degrades to a miss, never a wrong result.
-struct ResultCache {
-    rows: HashMap<u64, (String, Vec<u8>)>,
-    order: Vec<u64>,
-    path: Option<PathBuf>,
-    write_warned: bool,
-}
-
-impl ResultCache {
-    fn load(path: Option<PathBuf>) -> Self {
-        let mut cache = Self {
-            rows: HashMap::new(),
-            order: Vec::new(),
-            path,
-            write_warned: false,
-        };
-        let Some(path) = cache.path.clone() else {
-            return cache;
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return cache; // no file yet: an empty cache
-        };
-        let mut lines = text.lines();
-        if lines.next() != Some(CACHE_HEADER) {
-            crate::obs::warn(
-                "server",
-                &format!(
-                    "{}: unrecognized cache header; starting empty",
-                    path.display()
-                ),
-            );
-            return cache;
-        }
-        for line in lines {
-            match crate::engine::split_crc_line(line) {
-                None => break,                // torn tail: keep the verified prefix
-                Some((_, false)) => continue, // damaged row: skip it
-                Some((core, true)) => {
-                    let Some((fp, identity, payload)) = Self::parse_row(core) else {
-                        continue;
-                    };
-                    if cache.rows.insert(fp, (identity, payload)).is_none() {
-                        cache.order.push(fp);
-                    }
-                }
-            }
-        }
-        cache
-    }
-
-    fn parse_row(core: &str) -> Option<(u64, String, Vec<u8>)> {
-        let mut fields = core.split('\t');
-        let fp_field = fields.next()?;
-        let fp = u64::from_str_radix(fp_field.strip_prefix("fp=")?, 16).ok()?;
-        // The identity is hex-encoded so its Debug rendering can never
-        // smuggle a tab or newline into the row format.
-        let identity = String::from_utf8(hex_decode(fields.next()?)?).ok()?;
-        let payload = hex_decode(fields.next()?)?;
-        fields.next().is_none().then_some((fp, identity, payload))
-    }
-
-    /// Looks up `fingerprint`, verifying that the stored row was produced
-    /// by a job with the same full identity. A mismatch — a 64-bit
-    /// collision — is reported and treated as a miss.
-    fn get(&self, fingerprint: u64, identity: &str) -> Option<Vec<u8>> {
-        let (stored, payload) = self.rows.get(&fingerprint)?;
-        if stored != identity {
-            crate::obs::counter_add("server.identity_mismatches", 1);
-            crate::obs::warn(
-                "server",
-                &format!(
-                    "fingerprint collision on {fingerprint:016x}: cached identity \
-                     '{stored}' != requested '{identity}'; treating as a miss"
-                ),
-            );
-            return None;
-        }
-        Some(payload.clone())
-    }
-
-    /// Inserts and persists. First write wins — a fingerprint fully
-    /// determines its result, so a duplicate store is a concurrent worker
-    /// finishing the same job, not new information. A persistence failure
-    /// degrades to in-memory caching (warned once): results stay correct,
-    /// restarts lose them.
-    fn store(&mut self, fingerprint: u64, identity: &str, payload: Vec<u8>) {
-        if self.rows.contains_key(&fingerprint) {
-            return;
-        }
-        self.rows
-            .insert(fingerprint, (identity.to_string(), payload));
-        self.order.push(fingerprint);
-        let Some(path) = self.path.clone() else {
-            return;
-        };
-        let mut text = String::from(CACHE_HEADER);
-        text.push('\n');
-        for fp in &self.order {
-            let (identity, payload) = &self.rows[fp];
-            let core = format!(
-                "fp={fp:016x}\t{}\t{}",
-                hex_encode(identity.as_bytes()),
-                hex_encode(payload)
-            );
-            text.push_str(&crate::engine::crc_line(&core));
-            text.push('\n');
-        }
-        if let Err(e) = crate::engine::atomic_write(&path, text.as_bytes()) {
-            if !self.write_warned {
-                self.write_warned = true;
-                crate::obs::warn(
-                    "server",
-                    &format!(
-                        "{}: result-cache write failed ({e}); caching in memory only",
-                        path.display()
-                    ),
-                );
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +552,8 @@ struct Shared {
     stalled: AtomicBool,
     conns: Mutex<HashMap<u64, Arc<FramedConn>>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
-    cache: Mutex<ResultCache>,
+    store: RunStore,
+    store_write_warned: AtomicBool,
     counters: Counters,
     next_conn_id: AtomicU64,
     generation: u64,
@@ -729,6 +575,23 @@ impl Shared {
     fn count(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Persists one completed job. A failed write degrades to no caching
+    /// (warned once): results stay correct, the job simply re-simulates
+    /// when asked again.
+    fn persist(&self, key: &CacheKey, payload: &[u8]) {
+        if let Err(e) = self.store.put_payload(key, payload) {
+            if !self.store_write_warned.swap(true, Ordering::Relaxed) {
+                crate::obs::warn(
+                    "server",
+                    &format!(
+                        "{}: result-store write failed ({e}); completed jobs are not cached",
+                        self.store.dir().display()
+                    ),
+                );
+            }
+        }
+    }
 }
 
 /// A running suite server. Start one with [`Server::start`], stop it with
@@ -749,19 +612,27 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds `endpoint`, loads the persistent result cache, and spawns the
-    /// accept loop and worker pool.
+    /// Binds `endpoint`, bounds the persistent result store (the sweep
+    /// store's `RESTUNE_STORE_MAX_BYTES` / `RESTUNE_STORE_MAX_AGE_SECS`
+    /// eviction), and spawns the accept loop and worker pool. Nothing is
+    /// loaded: every lookup reads its one record.
     pub fn start(endpoint: Endpoint, cfg: ServerConfig) -> io::Result<Server> {
         let listener = Listener::bind(&endpoint)?;
-        let cache_path = cfg
+        let server_dir = cfg
             .cache_dir
             .clone()
             .unwrap_or_else(crate::engine::baseline_cache_dir)
-            .join("server")
-            .join("results.tsv");
-        let cache = ResultCache::load(Some(cache_path));
-        if cache.len() > 0 {
-            crate::obs::counter_add("server.cache_loaded_rows", cache.len() as u64);
+            .join("server");
+        let store = RunStore::open(server_dir.join("store"));
+        store.evict();
+        // The single-file cache of earlier releases: its rows are not
+        // migrated (each is one cheap re-simulation), only deleted.
+        let legacy = server_dir.join("results.tsv");
+        if std::fs::remove_file(&legacy).is_ok() {
+            crate::obs::warn(
+                "server",
+                &format!("removed the legacy result cache {}", legacy.display()),
+            );
         }
         let workers_wanted = cfg.workers.max(1);
         let generation = cfg.generation.unwrap_or_else(fresh_generation);
@@ -774,7 +645,8 @@ impl Server {
             stalled: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             readers: Mutex::new(Vec::new()),
-            cache: Mutex::new(cache),
+            store,
+            store_write_warned: AtomicBool::new(false),
             counters: Counters::default(),
             next_conn_id: AtomicU64::new(1),
             generation,
@@ -863,7 +735,7 @@ impl Server {
 
     /// Graceful shutdown: drain admissions, let queued and in-flight jobs
     /// finish (every completed job is already persisted in the result
-    /// cache), then stop every thread, close every connection, and remove
+    /// store), then stop every thread, close every connection, and remove
     /// the unix socket file. Returns the final counters.
     pub fn drain_and_stop(mut self) -> ServerStats {
         self.begin_drain();
@@ -1181,18 +1053,17 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<FramedConn>, kind: u8, payload:
                 let _ = conn.write_frame(wire::KIND_REPLY, &reply);
                 return true;
             };
-            let decoded_fp =
-                wire::job_fingerprint(&job.profile, &job.technique, &job.sim, &job.specs);
-            if decoded_fp != job.fingerprint {
+            let key = store_key(&job);
+            if key.fingerprint != job.fingerprint {
                 let reply = wire::encode_reply(
                     req_id,
                     false,
                     &Err((
                         FailureKind::Transport,
                         format!(
-                            "job fingerprint mismatch (frame {:016x}, decoded {decoded_fp:016x}): \
+                            "job fingerprint mismatch (frame {:016x}, decoded {:016x}): \
                              wire codec drift",
-                            job.fingerprint
+                            job.fingerprint, key.fingerprint
                         ),
                     )),
                 );
@@ -1200,14 +1071,8 @@ fn handle_frame(shared: &Arc<Shared>, conn: &Arc<FramedConn>, kind: u8, payload:
                 return true;
             }
             // Cache hit: served straight from the reader thread — a cached
-            // row costs no worker and no queue slot.
-            let identity = wire::job_identity(&job.profile, &job.technique, &job.sim, &job.specs);
-            let cached = shared
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(decoded_fp, &identity);
-            if let Some(payload) = cached {
+            // record costs no worker and no queue slot.
+            if let Some(payload) = shared.store.get_payload(&key, "server") {
                 shared.count(&shared.counters.cache_hits);
                 let reply = wire::encode_reply_from_result_payload(req_id, true, &payload);
                 let _ = conn.write_frame(wire::KIND_REPLY, &reply);
@@ -1295,21 +1160,10 @@ fn run_job(shared: &Arc<Shared>, job: &PendingJob) {
         let _ = job.conn.write_frame(wire::KIND_REPLY, &reply);
         return;
     }
-    // Re-check the cache: another tenant may have computed this
-    // fingerprint while the job sat in the queue.
-    let fingerprint = job.job.fingerprint;
-    let identity = wire::job_identity(
-        &job.job.profile,
-        &job.job.technique,
-        &job.job.sim,
-        &job.job.specs,
-    );
-    let cached = shared
-        .cache
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(fingerprint, &identity);
-    if let Some(payload) = cached {
+    // Re-check the store: another tenant may have computed this job while
+    // it sat in the queue.
+    let key = store_key(&job.job);
+    if let Some(payload) = shared.store.get_payload(&key, "server") {
         shared.count(&shared.counters.cache_hits);
         let reply = wire::encode_reply_from_result_payload(job.req_id, true, &payload);
         let _ = job.conn.write_frame(wire::KIND_REPLY, &reply);
@@ -1348,19 +1202,33 @@ fn run_job(shared: &Arc<Shared>, job: &PendingJob) {
         )
     };
     shared.count(&shared.counters.jobs_run);
-    if let Ok(inst) = &outcome {
-        shared
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .store(fingerprint, &identity, wire::encode_result(inst));
-    } else {
-        // Failures are never cached: a timeout under one tenant's deadline
-        // must not poison another tenant's retry.
-        shared.count(&shared.counters.job_failures);
-    }
-    let reply = wire::encode_reply(job.req_id, false, &outcome);
+    let reply = match &outcome {
+        Ok(inst) => {
+            // Persisted before the reply leaves: a tenant that has its
+            // answer can count on a restarted server having it too.
+            let payload = wire::encode_result(inst);
+            shared.persist(&key, &payload);
+            wire::encode_reply_from_result_payload(job.req_id, false, &payload)
+        }
+        Err(_) => {
+            // Failures are never cached: a timeout under one tenant's
+            // deadline must not poison another tenant's retry.
+            shared.count(&shared.counters.job_failures);
+            wire::encode_reply(job.req_id, false, &outcome)
+        }
+    };
     let _ = job.conn.write_frame(wire::KIND_REPLY, &reply);
+}
+
+/// The result-store key of one job: its wire identity, whose fingerprint
+/// is [`wire::job_fingerprint`].
+fn store_key(job: &wire::Job) -> CacheKey {
+    CacheKey::from_identity(wire::job_identity(
+        &job.profile,
+        &job.technique,
+        &job.sim,
+        &job.specs,
+    ))
 }
 
 #[cfg(test)]
@@ -1411,71 +1279,6 @@ mod tests {
             cfg.default_deadline,
             Some(Duration::from_secs_f64(DEFAULT_DEADLINE_SECS))
         );
-    }
-
-    #[test]
-    fn result_cache_round_trips_and_survives_damage() {
-        let dir = std::env::temp_dir().join(format!(
-            "restune-server-cache-test-{}-{:x}",
-            std::process::id(),
-            crate::engine::suite_fingerprint(
-                &[],
-                &crate::sim::Technique::Base,
-                &crate::sim::SimConfig::isca04(1),
-                &crate::fault::FaultPlan::none(),
-            )
-        ));
-        let path = dir.join("results.tsv");
-        let mut cache = ResultCache::load(Some(path.clone()));
-        assert_eq!(cache.len(), 0);
-        cache.store(0xAB, "job-a", vec![1, 2, 3]);
-        cache.store(0xCD, "job-b", vec![4, 5]);
-        cache.store(0xAB, "job-a", vec![9, 9]); // duplicate: first write wins
-        let reloaded = ResultCache::load(Some(path.clone()));
-        assert_eq!(reloaded.get(0xAB, "job-a"), Some(vec![1, 2, 3]));
-        assert_eq!(reloaded.get(0xCD, "job-b"), Some(vec![4, 5]));
-        // A fingerprint collision — same fp, different job identity — must
-        // be a miss, never the other job's bytes.
-        assert_eq!(reloaded.get(0xAB, "job-z"), None);
-
-        // Damage one row's CRC: that row is skipped, the rest load.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<String> = text.lines().map(String::from).collect();
-        let last = lines.len() - 1;
-        let flipped = match lines[last].pop() {
-            Some('0') => '1',
-            _ => '0',
-        };
-        lines[last].push(flipped);
-        std::fs::write(&path, lines.join("\n")).unwrap();
-        let damaged = ResultCache::load(Some(path.clone()));
-        assert_eq!(damaged.get(0xAB, "job-a"), Some(vec![1, 2, 3]));
-        assert_eq!(damaged.get(0xCD, "job-b"), None, "damaged row is skipped");
-
-        // A torn tail (no CRC trailer at all) stops the scan there.
-        std::fs::write(
-            &path,
-            format!(
-                "{CACHE_HEADER}\n{}\nfp=00000000000000ff\t6a\t0102",
-                lines[1]
-            ),
-        )
-        .unwrap();
-        let torn = ResultCache::load(Some(path.clone()));
-        assert_eq!(torn.len(), 1, "verified prefix only");
-
-        // A v1 file (no identity column) is discarded wholesale.
-        std::fs::write(
-            &path,
-            format!(
-                "restune-server-cache v1\n{}\n",
-                crate::engine::crc_line(&format!("fp={:016x}\t010203", 0xABu64))
-            ),
-        )
-        .unwrap();
-        let v1 = ResultCache::load(Some(path.clone()));
-        assert_eq!(v1.len(), 0, "v1 rows carry no identity; start empty");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

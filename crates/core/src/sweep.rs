@@ -78,6 +78,10 @@ pub struct EvictStats {
 /// wrong-result reuse, and the colliding file — valid for its own
 /// configuration — is left in place. Torn or damaged records are deleted
 /// and re-simulated. Writes are crash-consistent (`atomic_write`).
+///
+/// `restuned` keeps its result cache in a store of its own, whose records
+/// carry a job's encoded wire result bytes in place of the result row, so
+/// a cache hit replays exactly the bytes the run produced.
 #[derive(Debug, Clone)]
 pub struct RunStore {
     dir: PathBuf,
@@ -113,7 +117,7 @@ impl RunStore {
     /// `store.hits` / `store.misses` counters; an identity mismatch also
     /// bumps `store.identity_mismatches`.
     pub fn get(&self, key: &CacheKey) -> Option<SimResult> {
-        let result = self.read(key);
+        let result = self.read(key, "store", crate::engine::parse_row);
         let counter = if result.is_some() {
             "store.hits"
         } else {
@@ -123,7 +127,45 @@ impl RunStore {
         result
     }
 
-    fn read(&self, key: &CacheKey) -> Option<SimResult> {
+    /// Records `result` under `key`, crash-consistently.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn put(&self, key: &CacheKey, result: &SimResult) -> io::Result<()> {
+        self.write(key, &crate::engine::result_row(result))
+    }
+
+    /// Looks up a byte-payload record written by [`RunStore::put_payload`],
+    /// with the same fingerprint, identity and CRC checks as
+    /// [`RunStore::get`]. It bumps no `store.*` counter — the caller owns
+    /// its hit/miss accounting — and an identity mismatch is warned and
+    /// counted under `category` (`<category>.identity_mismatches`).
+    pub(crate) fn get_payload(&self, key: &CacheKey, category: &'static str) -> Option<Vec<u8>> {
+        self.read(key, category, hex_decode)
+    }
+
+    /// Records opaque `payload` bytes under `key`, crash-consistently: the
+    /// same record layout as [`RunStore::put`], with the bytes hex-encoded
+    /// in the data row.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub(crate) fn put_payload(&self, key: &CacheKey, payload: &[u8]) -> io::Result<()> {
+        self.write(key, &hex_encode(payload))
+    }
+
+    /// Reads the record for `key` and decodes its verified data row. A
+    /// record with a foreign identity is a miss left in place (it is valid
+    /// for its own configuration); a stale, torn or damaged one — or a data
+    /// row `decode` rejects — is deleted.
+    fn read<T>(
+        &self,
+        key: &CacheKey,
+        category: &'static str,
+        decode: impl FnOnce(&str) -> Option<T>,
+    ) -> Option<T> {
         let path = self.path_for(key.fingerprint);
         let text = std::fs::read_to_string(&path).ok()?;
         let mut lines = text.lines();
@@ -135,7 +177,7 @@ impl RunStore {
             Some((core, true)) => match core.strip_prefix("id=") {
                 Some(identity) if identity == key.identity => {}
                 Some(identity) => {
-                    warn_identity_mismatch("store", &path, &key.identity, identity);
+                    warn_identity_mismatch(category, &path, &key.identity, identity);
                     return None;
                 }
                 None => {
@@ -151,24 +193,21 @@ impl RunStore {
         let row = lines
             .next()
             .and_then(split_crc_line)
-            .and_then(|(core, intact)| intact.then(|| crate::engine::parse_row(core))?);
+            .and_then(|(core, intact)| intact.then(|| decode(core))?);
         if row.is_none() {
             discard_stale(&path, "run record with a torn or damaged result row");
         }
         row
     }
 
-    /// Records `result` under `key`, crash-consistently.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn put(&self, key: &CacheKey, result: &SimResult) -> io::Result<()> {
+    /// Writes the record for `key`: header, CRC'd identity row, CRC'd
+    /// data row.
+    fn write(&self, key: &CacheKey, row: &str) -> io::Result<()> {
         let mut body = Self::header(key);
         body.push('\n');
         body.push_str(&crc_line(&format!("id={}", key.identity)));
         body.push('\n');
-        body.push_str(&crc_line(&crate::engine::result_row(result)));
+        body.push_str(&crc_line(row));
         body.push('\n');
         atomic_write(&self.path_for(key.fingerprint), body.as_bytes())
     }
@@ -181,6 +220,10 @@ impl RunStore {
     /// a long-lived cache directory would accumulate every run any sweep
     /// ever produced.
     pub fn evict(&self) -> EvictStats {
+        // An absent store costs one failed directory open, nothing more.
+        let Ok(entries) = std::fs::read_dir(&self.dir) else {
+            return EvictStats::default();
+        };
         let max_age = crate::envcfg::positive_f64(
             "RESTUNE_STORE_MAX_AGE_SECS",
             "store",
@@ -196,9 +239,6 @@ impl RunStore {
         .map(|b| b as u64)
         .unwrap_or(STORE_MAX_BYTES);
 
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return EvictStats::default();
-        };
         // (modified, name, path, len) — name breaks mtime ties so the
         // eviction order is deterministic even for records written within
         // one filesystem timestamp granule.
@@ -237,6 +277,30 @@ impl RunStore {
         }
         stats
     }
+}
+
+/// Lowercase hex of `bytes`: the text form of a payload record's data row.
+fn hex_encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+    out
+}
+
+/// Inverse of [`hex_encode`]; `None` on odd length or a non-hex digit.
+fn hex_decode(text: &str) -> Option<Vec<u8>> {
+    let nibble = |c: u8| char::from(c).to_digit(16);
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
+        return None;
+    }
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Some((nibble(pair[0])? << 4 | nibble(pair[1])?) as u8))
+        .collect()
 }
 
 /// A workload class a sweep can cover.
@@ -812,6 +876,53 @@ mod tests {
         std::fs::write(&path, body.replace("id=", "xx=")).expect("damage lands");
         assert_eq!(store.get(&key), None, "damaged record misses");
         assert!(!path.exists(), "damaged record is deleted");
+
+        // The byte-payload record keeps the same contract. Its bytes cover
+        // every value, tabs and newlines included, so the row encoding must
+        // not leak them into the line format.
+        let payload: Vec<u8> = (0..=255u8).rev().collect();
+        let job = CacheKey::from_identity(String::from("job-test|payload-record"));
+        assert_eq!(store.get_payload(&job, "server"), None, "empty slot misses");
+        store.put_payload(&job, &payload).expect("put succeeds");
+        assert_eq!(
+            store.get_payload(&job, "server"),
+            Some(payload.clone()),
+            "payload round trip is byte-exact"
+        );
+        let impostor = CacheKey {
+            fingerprint: job.fingerprint,
+            identity: format!("{}|impostor", job.identity),
+        };
+        let mismatches_before = counter("server.identity_mismatches");
+        assert_eq!(store.get_payload(&impostor, "server"), None);
+        assert_eq!(counter("server.identity_mismatches"), mismatches_before + 1);
+        let path = store.path_for(job.fingerprint);
+        assert!(path.exists(), "a colliding record is left in place");
+        assert_eq!(store.get_payload(&job, "server"), Some(payload.clone()));
+
+        // A flipped byte in the data row fails its CRC: deleted, a miss.
+        let body = std::fs::read_to_string(&path).expect("record exists");
+        let data_row = body.lines().nth(2).expect("a data row").to_string();
+        let flipped = data_row.replacen("ff", "fe", 1);
+        assert_ne!(flipped, data_row);
+        std::fs::write(&path, body.replace(&data_row, &flipped)).expect("damage lands");
+        assert_eq!(
+            store.get_payload(&job, "server"),
+            None,
+            "flipped byte misses"
+        );
+        assert!(!path.exists(), "damaged record is deleted");
+
+        // A torn write (the data row cut short, no CRC trailer) misses too.
+        store.put_payload(&job, &payload).expect("put succeeds");
+        let body = std::fs::read_to_string(&path).expect("record exists");
+        std::fs::write(&path, &body[..body.len() - 20]).expect("tear lands");
+        assert_eq!(
+            store.get_payload(&job, "server"),
+            None,
+            "torn record misses"
+        );
+        assert!(!path.exists(), "torn record is deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

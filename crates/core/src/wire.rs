@@ -657,9 +657,9 @@ pub(crate) fn encode_reply(
     bytes
 }
 
-/// Assembles a reply payload directly from a stored [`encode_result`]
-/// payload — the shared result cache keeps encoded rows, so a cache hit is
-/// served without a decode/re-encode round trip.
+/// Assembles a reply payload directly from an [`encode_result`] payload —
+/// the server persists exactly these bytes, so both a fresh result and a
+/// cache hit are replied without a decode/re-encode round trip.
 pub(crate) fn encode_reply_from_result_payload(
     req_id: u64,
     cached: bool,

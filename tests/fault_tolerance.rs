@@ -3,6 +3,7 @@
 //! interrupted suite bit-exactly, and — with the policy disabled — stay
 //! bit-identical to the unsupervised path.
 
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use restune::engine::{
@@ -13,6 +14,16 @@ use restune::{FailureKind, FaultPlan, FaultSpec, SimConfig, SupervisorConfig, Te
 use workloads::spec2k;
 
 const APPS: [&str; 3] = ["mcf", "parser", "fma3d"];
+
+/// Suites choose their execution tier, and process workers their shim
+/// mode, from environment variables every test in this binary shares.
+/// Tests hold this lock shared; the one that arms hanging workers holds it
+/// exclusively, so no other test's suite can spawn such a worker.
+static WORKER_ENV: RwLock<()> = RwLock::new(());
+
+fn shared_worker_env() -> RwLockReadGuard<'static, ()> {
+    WORKER_ENV.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn profiles() -> Vec<workloads::WorkloadProfile> {
     APPS.iter()
@@ -30,6 +41,7 @@ fn fast_retries() -> SupervisorConfig {
 
 #[test]
 fn disabled_plan_is_bit_identical_to_the_unsupervised_engine() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(30_000);
 
@@ -52,6 +64,7 @@ fn disabled_plan_is_bit_identical_to_the_unsupervised_engine() {
 
 #[test]
 fn every_fault_class_is_classified_and_transients_recover() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
 
@@ -106,6 +119,7 @@ fn every_fault_class_is_classified_and_transients_recover() {
 
 #[test]
 fn sensor_faults_are_injected_deterministically() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
     let technique = Technique::Tuning(restune::TuningConfig::isca04_table1(100));
@@ -140,6 +154,7 @@ fn sensor_faults_are_injected_deterministically() {
 
 #[test]
 fn interrupted_suite_resumes_bit_exactly() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(25_000);
     let dir = std::env::temp_dir().join(format!("restune-ft-resume-{}", std::process::id()));
@@ -198,6 +213,7 @@ fn interrupted_suite_resumes_bit_exactly() {
 
 #[test]
 fn checkpoint_resumes_bit_exactly_across_kernel_batch_sizes() {
+    let _env = shared_worker_env();
     // The kernel's supply-flush batch length (`RESTUNE_BATCH`) is pure
     // scheduling: it is deliberately excluded from the checkpoint
     // fingerprint, so a suite checkpointed at one batch size must resume at
@@ -259,6 +275,7 @@ fn lane_runs_counter() -> u64 {
 
 #[test]
 fn checkpoint_resumes_bit_exactly_across_lane_counts() {
+    let _env = shared_worker_env();
     // The engine's lane width (`RESTUNE_LANES`) is pure scheduling, exactly
     // like the kernel's flush batch: it is deliberately excluded from the
     // checkpoint fingerprint, so a suite checkpointed at one width must
@@ -320,6 +337,7 @@ fn checkpoint_resumes_bit_exactly_across_lane_counts() {
 
 #[test]
 fn corrupt_recorded_baselines_are_discarded_not_trusted() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(15_000);
     let results: Vec<_> = try_run_suite(&profiles, &Technique::Base, &sim)
@@ -350,6 +368,7 @@ fn corrupt_recorded_baselines_are_discarded_not_trusted() {
 
 #[test]
 fn torn_checkpoints_recover_at_row_granularity() {
+    let _env = shared_worker_env();
     // Crash-consistency contract: a checkpoint damaged mid-write loses at
     // most the rows that were actually damaged. A row whose CRC no longer
     // verifies is skipped (only that app re-runs); a structurally torn tail
@@ -419,24 +438,31 @@ fn torn_checkpoints_recover_at_row_granularity() {
 
 /// Not a real test: the process-isolation tests below re-exec this test
 /// binary with `worker_shim --exact` as its arguments, turning the libtest
-/// run into a restune worker. Without the env gate it is a no-op, so a
+/// run into a restune worker. `RESTUNE_WORKER_SHIM=1` serves the job;
+/// `hang` reads it and then never replies, a non-cooperative hang only the
+/// parent's hard kill can end. Without the env gate it is a no-op, so a
 /// normal `cargo test` sails through it.
 #[test]
 fn worker_shim() {
-    if std::env::var("RESTUNE_WORKER_SHIM").as_deref() != Ok("1") {
-        return;
+    match std::env::var("RESTUNE_WORKER_SHIM").as_deref() {
+        Ok("1") => std::process::exit(restune::isolation::serve_worker(None, None)),
+        Ok("hang") => {
+            let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut Vec::new());
+            std::thread::sleep(Duration::from_secs(60));
+            std::process::exit(0);
+        }
+        _ => {}
     }
-    std::process::exit(restune::isolation::serve_worker(None, None));
 }
 
 /// Environment under which the engine spawns `worker_shim` child processes
-/// of this very test binary as its process-isolation tier.
-fn with_process_isolation<R>(f: impl FnOnce() -> R) -> R {
+/// of this very test binary as its process-isolation tier, in shim `mode`.
+fn with_shim_workers<R>(mode: &str, f: impl FnOnce() -> R) -> R {
     restune::testenv::with_env(
         &[
             ("RESTUNE_ISOLATION", Some("process")),
             ("RESTUNE_WORKER_ARGV", Some("worker_shim --exact")),
-            ("RESTUNE_WORKER_SHIM", Some("1")),
+            ("RESTUNE_WORKER_SHIM", Some(mode)),
         ],
         f,
     )
@@ -444,6 +470,7 @@ fn with_process_isolation<R>(f: impl FnOnce() -> R) -> R {
 
 #[test]
 fn process_isolated_suite_is_bit_exact() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
@@ -452,7 +479,7 @@ fn process_isolated_suite_is_bit_exact() {
         timeout: Some(Duration::from_secs(120)),
         ..fast_retries()
     };
-    let isolated = with_process_isolation(|| {
+    let isolated = with_shim_workers("1", || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
     });
 
@@ -466,6 +493,7 @@ fn process_isolated_suite_is_bit_exact() {
 
 #[test]
 fn hard_crashes_are_contained_by_process_isolation() {
+    let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
     let dir = std::env::temp_dir().join(format!("restune-ft-crash-{}", std::process::id()));
@@ -483,7 +511,7 @@ fn hard_crashes_are_contained_by_process_isolation() {
     let plan = FaultPlan::none()
         .with_persistent_fault(APPS[0], FaultSpec::WorkerAbort)
         .with_persistent_fault(APPS[2], FaultSpec::WorkerKill);
-    let crashed = with_process_isolation(|| {
+    let crashed = with_shim_workers("1", || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &plan)
     });
 
@@ -503,7 +531,7 @@ fn hard_crashes_are_contained_by_process_isolation() {
     // completed app, re-runs the crashed ones, and matches an uninterrupted
     // reference bit-for-bit.
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
-    let resumed = with_process_isolation(|| {
+    let resumed = with_shim_workers("1", || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
     });
     assert_eq!(
@@ -522,4 +550,38 @@ fn hard_crashes_are_contained_by_process_isolation() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_hung_worker_is_hard_killed_at_the_deadline() {
+    // The worker ignores the cooperative watchdog its job frame carries, so
+    // only the parent's backstop can end the attempt: a kill at the hard
+    // deadline, timeout + max(timeout, 2 s) after the spawn.
+    let profiles = vec![spec2k::by_name(APPS[0]).expect("app is in the suite")];
+    let sim = SimConfig::isca04(20_000);
+    let sup = SupervisorConfig {
+        max_retries: 0,
+        timeout: Some(Duration::from_millis(300)),
+        ..fast_retries()
+    };
+    let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
+    let started = std::time::Instant::now();
+    let suite = with_shim_workers("hang", || {
+        run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
+    });
+    let elapsed = started.elapsed();
+
+    let failure = suite.outcomes[0]
+        .as_ref()
+        .expect_err("a hung worker never replies");
+    assert_eq!(failure.kind, FailureKind::Timeout, "{failure:?}");
+    assert!(
+        failure.message.contains("hard wall-clock deadline"),
+        "the parent's kill must classify the attempt, got: {}",
+        failure.message
+    );
+    assert!(
+        elapsed >= Duration::from_millis(2_300) && elapsed < Duration::from_millis(3_500),
+        "the kill lands at 0.3 s + 2 s grace, took {elapsed:?}"
+    );
 }

@@ -388,3 +388,53 @@ fn request_deadlines_fire_on_the_server_and_spare_healthy_apps() {
         "failures must reach the server, not be simulated locally, got {stats:?}"
     );
 }
+
+#[test]
+fn a_restarted_server_evicts_its_store_to_the_bound_and_serves_the_rest() {
+    let _serial = serial();
+    let all = profiles(&APPS);
+    let sim = SimConfig::isca04(8_000);
+    let reference = try_run_suite(&all, &Technique::Base, &sim).expect("suite runs");
+
+    let scratch = Scratch::new("evict");
+    let first = Server::start(scratch.socket(), scratch.cfg()).expect("server starts");
+    {
+        let _route = connect(&first);
+        let run = try_run_suite(&all, &Technique::Base, &sim).expect("remote suite runs");
+        assert_eq!(run.results, reference.results);
+    }
+    assert_eq!(first.drain_and_stop().jobs_run, 3);
+
+    let store = scratch.0.join("cache").join("server").join("store");
+    let record_sizes = || -> Vec<u64> {
+        std::fs::read_dir(&store)
+            .expect("the server store exists")
+            .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
+            .collect()
+    };
+    let sizes = record_sizes();
+    assert_eq!(sizes.len(), 3, "one record per completed job");
+    // Room for two records but not three: a restart must evict one.
+    let bound = sizes.iter().sum::<u64>() - sizes.iter().min().expect("records") / 2;
+    let second = restune::testenv::with_env(
+        &[("RESTUNE_STORE_MAX_BYTES", Some(&bound.to_string()))],
+        || Server::start(scratch.socket(), scratch.cfg()),
+    )
+    .expect("server restarts");
+    let kept = record_sizes();
+    assert_eq!(kept.len(), 2, "the oldest record is evicted");
+    assert!(
+        kept.iter().sum::<u64>() <= bound,
+        "the store fits its bound"
+    );
+
+    let _route = connect(&second);
+    let resumed = try_run_suite(&all, &Technique::Base, &sim).expect("resumed suite runs");
+    assert_eq!(resumed.results, reference.results);
+    let stats = second.drain_and_stop();
+    assert_eq!(
+        (stats.jobs_run, stats.cache_hits),
+        (1, 2),
+        "the surviving records are served, only the evicted job simulates"
+    );
+}

@@ -153,3 +153,56 @@ fn forced_store_collision_is_a_miss_never_a_wrong_result() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn concurrent_puts_of_one_key_all_land_whole() {
+    // Two tenants finishing the same run put the same key at once. Every
+    // put must succeed, the surviving record must verify, and no writer's
+    // tmp file may be left behind.
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 200;
+    let dir = scratch("concurrent");
+    let store = RunStore::open(dir.clone());
+    let profile = spec2k::by_name("gzip").expect("gzip is in the suite");
+    let sim = SimConfig::isca04(2_000);
+    let result = run(&profile, &Technique::Base, &sim);
+    let key = run_key(&profile, &Technique::Base, &sim);
+
+    let start = std::sync::Barrier::new(THREADS);
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    (0..ROUNDS)
+                        .filter_map(|_| store.put(&key, &result).err())
+                        .map(|e| e.to_string())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("writer thread finishes"))
+            .collect()
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of {} puts failed, first: {:?}",
+        failures.len(),
+        THREADS * ROUNDS,
+        failures.first()
+    );
+    assert_eq!(
+        store.get(&key),
+        Some(result),
+        "the record reads back verified"
+    );
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .expect("store dir exists")
+        .map(|e| e.expect("dir entry").file_name())
+        .filter(|name| name.to_string_lossy().contains(".tmp."))
+        .collect();
+    assert!(leftovers.is_empty(), "tmp files left behind: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
