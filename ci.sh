@@ -101,6 +101,34 @@ assert resumed["suite_check"] == reference["suite_check"], \
     "resumed suite must be bit-identical to an uninterrupted reference"
 print(f"chaos ok: {len(failed)} contained crashes, {replays} replayed rows")
 EOF
+# Long-lived workers: a traced process-tier run on two pool threads, over a
+# copy of the reference run's cache, so the base suite replays its recorded
+# baseline and the tuning suite's runs are the only process-tier jobs. Each
+# pool thread keeps one worker for the whole suite: at most two spawns, and
+# every other job goes to a reused worker. The report must match the
+# in-process reference.
+reuse_dir=$(mktemp -d)
+cp -R "$ref_dir/." "$reuse_dir/"
+RESTUNE_CACHE_DIR="$reuse_dir" RESTUNE_ISOLATION=process RESTUNE_WORKERS=2 \
+    ./target/release/suite_check -n 20000 --json \
+    --trace-out "$reuse_dir/trace.jsonl" > "$reuse_dir/reused.json"
+python3 - "$reuse_dir/reused.json" "$ref_dir/reference.json" "$reuse_dir/trace.jsonl" <<'EOF'
+import json, sys
+reused, reference = (json.load(open(p)) for p in sys.argv[1:3])
+assert reused["suite_check"] == reference["suite_check"], \
+    "the reused-worker suite diverged from the in-process reference"
+with open(sys.argv[3]) as f:
+    lines = [json.loads(l) for l in f if l.strip()]
+counters = {l["name"]: l["value"] for l in lines if l["kind"] == "counter"}
+jobs = sum(1 for l in lines if l["kind"] == "run-start")
+spawned = counters.get("isolation.workers_spawned", 0)
+reused_jobs = counters.get("isolation.workers_reused", 0)
+assert jobs > 2, f"only {jobs} process-tier jobs ran"
+assert 1 <= spawned <= 2, f"{spawned} workers spawned for {jobs} jobs on 2 threads"
+assert reused_jobs >= jobs - 2, \
+    f"only {reused_jobs} of {jobs} jobs went to a reused worker"
+print(f"reuse ok: {jobs} jobs on {spawned} workers ({reused_jobs} reused)")
+EOF
 
 echo "==> trace smoke (traced suite bit-identical, schema-valid, windows present)"
 # A traced run must be pure observation: the "suite_check" section (the
@@ -181,6 +209,22 @@ echo "==> server smoke (restuned: chaos tenants, SIGTERM drain, cache resume)"
 # results back (every job a cache hit, none recomputed).
 srv_dir=$(mktemp -d)
 sock="$srv_dir/restuned.sock"
+# The pids of live `restuned worker` processes: children of pid $1, or any
+# when $1 is "any".
+restuned_workers() {
+    python3 - "$1" <<'EOF'
+import os, sys
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        argv = open(f"/proc/{pid}/cmdline", "rb").read().split(b"\0")
+        ppid = open(f"/proc/{pid}/stat").read().rsplit(")", 1)[1].split()[1]
+    except (OSError, IndexError):
+        continue
+    if argv[0].endswith(b"restuned") and argv[1:2] == [b"worker"] \
+            and sys.argv[1] in ("any", ppid):
+        print(pid)
+EOF
+}
 RESTUNE_CACHE_DIR="$srv_dir/cache" \
     ./target/release/restuned --socket "$sock" --faults 7 \
     2> "$srv_dir/restuned.log" &
@@ -237,6 +281,12 @@ RESTUNE_CACHE_DIR="$(mktemp -d)" \
     > /dev/null 2>&1 &
 load_pid=$!
 sleep 1
+# Every job so far ran on a long-lived worker child, idle now or busy: the
+# server holds at least one, and the drain must retire them all.
+[ -n "$(restuned_workers "$srv_pid")" ] || {
+    echo "server smoke: the server holds no worker children before SIGTERM" >&2
+    exit 1
+}
 kill -TERM "$srv_pid"
 srv_status=0
 wait "$srv_pid" || srv_status=$?
@@ -246,6 +296,11 @@ wait "$srv_pid" || srv_status=$?
 }
 grep -q 'restuned: drained' "$srv_dir/restuned.log" || {
     echo "server smoke: no drain summary in the server log" >&2
+    exit 1
+}
+leftover=$(restuned_workers any)
+[ -z "$leftover" ] || {
+    echo "server smoke: restuned worker processes outlived the drain: $leftover" >&2
     exit 1
 }
 wait "$load_pid" || true

@@ -477,8 +477,9 @@ pub fn run_suite_supervised(
 
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
+        let mut pool = Vec::new();
         for _ in 0..worker_count(profiles.len()) {
-            scope.spawn(|| loop {
+            pool.push(scope.spawn(|| loop {
                 let idx = next.fetch_add(1, Ordering::Relaxed);
                 let Some(profile) = profiles.get(idx) else {
                     return;
@@ -508,7 +509,15 @@ pub fn run_suite_supervised(
                 }
                 let stored = slots[idx].set(outcome).is_ok();
                 assert!(stored, "each unfilled slot is claimed exactly once");
-            });
+            }));
+        }
+        // Joining, unlike the scope's own wait, also waits for each thread's
+        // locals to drop: its process-tier worker retires before the suite
+        // returns.
+        for thread in pool {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 

@@ -1,17 +1,28 @@
-//! The process-isolation tier: run one application simulation per child
-//! process so that *nothing* a worker does — `abort()`, SIGKILL, a stack
+//! The process-isolation tier: run application simulations in child
+//! processes so that *nothing* a worker does — `abort()`, SIGKILL, a stack
 //! overflow, a non-cooperative infinite loop — can take the suite down.
 //!
 //! The in-process supervisor (see [`crate::engine`]) contains panics with
 //! `catch_unwind` and long runs with a cooperative watchdog, but both only
 //! work when the failure unwinds politely. This tier adds the hard
-//! boundary: the harness binary re-execs itself (`<exe> worker --app <name>
-//! --fingerprint <fp>`) via [`std::env::current_exe`], sends the job over
-//! the child's stdin as one checksummed [`crate::wire`] frame, and reads a
-//! single reply frame back from its stdout. The parent enforces a *hard*
-//! wall-clock deadline with [`std::process::Child::kill`] and classifies
-//! every way a child can die — signal, non-zero exit, corrupt or missing
-//! reply frame, deadline overrun — into the [`FailureKind`] taxonomy.
+//! boundary: the harness binary re-execs itself (`<exe> worker`) via
+//! [`std::env::current_exe`], and that worker serves job after job. Each
+//! job crosses the child's stdin as one checksummed [`crate::wire`] frame;
+//! the worker acknowledges it, runs it, and writes an optional
+//! observability frame and one reply frame to its stdout.
+//!
+//! Each calling thread — a suite pool thread, a `restuned` worker thread —
+//! keeps at most one idle worker in a thread-local slot and hands it the
+//! thread's next attempt. A worker is reused only after a clean, fully
+//! consumed RESULT reply, and only by an attempt with the same spawn recipe
+//! (argv, observability forwarding, and every inherited `RESTUNE_*`
+//! variable). Any failure retires it, and so does its thread's exit: stdin
+//! closed, child reaped, drain thread joined. A reused worker found dead
+//! before it acknowledged a job never saw that job, so the same frame goes
+//! to a fresh spawn. The parent enforces a *hard* wall-clock deadline with
+//! [`std::process::Child::kill`] and classifies every way a child can die
+//! — signal, non-zero exit, corrupt or missing reply frame, deadline
+//! overrun — into the [`FailureKind`] taxonomy.
 //!
 //! Tier selection is `RESTUNE_ISOLATION`:
 //!
@@ -29,11 +40,14 @@
 //! worker pool, which stops claiming apps and records `interrupted` slots)
 //! and re-arms the default disposition so a second signal force-kills.
 
+use std::cell::RefCell;
+use std::ffi::OsString;
 use std::io::{Read as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use workloads::{registry, WorkloadProfile};
@@ -42,7 +56,8 @@ use crate::fault::{FailureKind, FaultSpec};
 use crate::sim::{run_supervised, InstrumentedRun, SimConfig, Technique};
 use crate::wire;
 
-/// The hidden argv\[1\] that turns any harness binary into a worker.
+/// The hidden argv\[1\] that turns any harness binary into a long-lived
+/// worker, serving job frames from its stdin until EOF.
 pub const WORKER_SUBCOMMAND: &str = "worker";
 
 /// Set once a binary has called [`maybe_run_worker`]; `auto` isolation only
@@ -62,7 +77,8 @@ static WARNED_SPAWN: AtomicBool = AtomicBool::new(false);
 pub enum IsolationMode {
     /// In-process: `catch_unwind` + cooperative watchdog (the default).
     Thread,
-    /// One child process per application attempt.
+    /// Child processes: each calling thread hands its attempts to one
+    /// long-lived worker, replaced after any failure.
     Process,
 }
 
@@ -204,117 +220,113 @@ pub(crate) fn kill_self() {
 // ---------------------------------------------------------------------------
 
 /// Installs this binary's worker entry and, when invoked as
-/// `<exe> worker ...`, serves the job and never returns. Harness `main`s
-/// call this before argument parsing; under any other argv it only flips
-/// the "worker available" latch and returns.
+/// `<exe> worker`, serves jobs until stdin closes and never returns.
+/// Harness `main`s call this before argument parsing; under any other argv
+/// it only flips the "worker available" latch and returns.
 pub fn maybe_run_worker() {
     WORKER_INSTALLED.store(true, Ordering::Relaxed);
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) != Some(WORKER_SUBCOMMAND) {
-        return;
+    if std::env::args().nth(1).as_deref() == Some(WORKER_SUBCOMMAND) {
+        std::process::exit(serve_worker(std::io::stdin().lock()));
     }
-    let mut app = None;
-    let mut fingerprint = None;
-    let mut it = args[2..].iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--app", Some(v)) => app = Some(v.clone()),
-            ("--fingerprint", Some(v)) => fingerprint = u64::from_str_radix(v, 16).ok(),
-            _ => {}
-        }
-    }
-    std::process::exit(serve_worker(app.as_deref(), fingerprint));
 }
 
-/// The worker loop body: reads one job frame from stdin, runs it, writes
-/// one reply frame to stdout. Public (but hidden) so the test-suite shim —
-/// a libtest test spawned as the child — can serve jobs too.
+/// The worker loop: reads job frames from `input` (the worker's stdin)
+/// until EOF. For each one it writes an acknowledgement frame, runs the
+/// job, then writes the optional observability frame and one reply frame to
+/// stdout. Public (but hidden) so the test-suite shim — a libtest test
+/// spawned as the child — can serve jobs too.
 ///
-/// Exit/return code 0 means "a reply frame was written" (including
-/// classified-failure replies); non-zero means the parent gets no frame and
-/// must classify from the exit status alone.
+/// Returns 0 at EOF between jobs and 3 when the input ends inside a frame
+/// or a pipe fails; the parent then has no reply frame and classifies the
+/// exit status.
 #[doc(hidden)]
-pub fn serve_worker(expected_app: Option<&str>, argv_fingerprint: Option<u64>) -> i32 {
+pub fn serve_worker(mut input: impl std::io::Read) -> i32 {
     crate::fault::install_signal_quieting_hook();
-
-    let mut input = Vec::new();
-    if std::io::stdin().lock().read_to_end(&mut input).is_err() {
-        return 3;
+    let mut frames = wire::PipeScanner::default();
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        let job = match frames.next_frame() {
+            Some((wire::KIND_JOB, payload)) => payload,
+            Some(_) => continue,
+            None => match input.read(&mut buf) {
+                Ok(0) => return if frames.is_empty() { 0 } else { 3 },
+                Ok(n) => {
+                    frames.extend(&buf[..n]);
+                    continue;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return 3,
+            },
+        };
+        // Taken: from here on the parent holds this worker to the job.
+        if write_stdout(&wire::encode_frame(wire::KIND_ACK, &[])).is_err() {
+            return 3;
+        }
+        let reply = run_job(&job);
+        // When the parent asked for observability forwarding (it spawned us
+        // with RESTUNE_TRACE=wire), ship this job's trace lines and counters
+        // home as an obs frame ahead of the reply, so the process tier's
+        // trace matches the thread tier's. Taking them empties the buffers
+        // for the next job.
+        let mut out = Vec::new();
+        if let Some((counters, lines)) = crate::obs::take_forwarded() {
+            if !counters.is_empty() || !lines.is_empty() {
+                out.extend_from_slice(&wire::encode_frame(
+                    wire::KIND_OBS,
+                    &wire::encode_obs(&counters, &lines),
+                ));
+            }
+        }
+        out.extend_from_slice(&reply);
+        if write_stdout(&out).is_err() {
+            return 3;
+        }
     }
-    let Some((wire::KIND_JOB, payload)) = wire::scan_frame(&input) else {
-        return 3;
-    };
+}
 
+/// Writes and flushes `bytes` on stdout. Raw handle writes bypass libtest's
+/// output capture, so the shim test can serve frames even when spawned as a
+/// captured test process.
+fn write_stdout(bytes: &[u8]) -> std::io::Result<()> {
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_all(bytes)?;
+    stdout.flush()
+}
+
+/// Runs one job payload and returns its reply frame: a result, or a
+/// classified failure when the payload does not decode, fails the
+/// fingerprint tripwire, or the run unwinds.
+fn run_job(payload: &[u8]) -> Vec<u8> {
     let failure_frame = |kind: FailureKind, message: &str| {
         wire::encode_frame(wire::KIND_FAILURE, &wire::encode_failure(kind, message))
     };
-    let frame = match wire::decode_job(payload) {
-        None => failure_frame(FailureKind::Transport, "job frame failed to decode"),
-        Some(job) => {
-            // The codec-drift tripwire: the fingerprint of the *decoded*
-            // values must match what the parent stamped on the frame (and
-            // on argv). Any lossy field fails here, loudly.
-            let decoded_fp =
-                wire::job_fingerprint(&job.profile, &job.technique, &job.sim, &job.specs);
-            if decoded_fp != job.fingerprint || argv_fingerprint.is_some_and(|f| f != decoded_fp) {
-                failure_frame(
-                    FailureKind::Transport,
-                    &format!(
-                        "job fingerprint mismatch (frame {:016x}, decoded {decoded_fp:016x}): \
-                         wire codec drift",
-                        job.fingerprint
-                    ),
-                )
-            } else if expected_app.is_some_and(|a| a != job.profile.name) {
-                failure_frame(
-                    FailureKind::Transport,
-                    &format!(
-                        "argv names app '{}' but the job frame carries '{}'",
-                        expected_app.unwrap_or_default(),
-                        job.profile.name
-                    ),
-                )
-            } else {
-                let deadline = job.deadline.map(|d| Instant::now() + d);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    run_supervised(&job.profile, &job.technique, &job.sim, &job.specs, deadline)
-                })) {
-                    Ok(inst) => wire::encode_frame(wire::KIND_RESULT, &wire::encode_result(&inst)),
-                    Err(panic_payload) => {
-                        let (kind, message) = crate::engine::classify_payload(panic_payload);
-                        failure_frame(kind, &message)
-                    }
-                }
-            }
-        }
+    let Some(job) = wire::decode_job(payload) else {
+        return failure_frame(FailureKind::Transport, "job frame failed to decode");
     };
-
-    // When the parent asked for observability forwarding (it spawned us
-    // with RESTUNE_TRACE=wire), ship the buffered trace lines and the
-    // counter registry home as an obs frame ahead of the reply, so the
-    // process tier's trace matches the thread tier's.
-    let mut out = Vec::new();
-    if let Some((counters, lines)) = crate::obs::take_forwarded() {
-        if !counters.is_empty() || !lines.is_empty() {
-            out.extend_from_slice(&wire::encode_frame(
-                wire::KIND_OBS,
-                &wire::encode_obs(&counters, &lines),
-            ));
+    // The codec-drift tripwire: the fingerprint of the *decoded* values
+    // must match what the parent stamped on the frame. Any lossy field
+    // fails here, loudly.
+    let decoded_fp = wire::job_fingerprint(&job.profile, &job.technique, &job.sim, &job.specs);
+    if decoded_fp != job.fingerprint {
+        return failure_frame(
+            FailureKind::Transport,
+            &format!(
+                "job fingerprint mismatch (frame {:016x}, decoded {decoded_fp:016x}): \
+                 wire codec drift",
+                job.fingerprint
+            ),
+        );
+    }
+    let deadline = job.deadline.map(|d| Instant::now() + d);
+    match catch_unwind(AssertUnwindSafe(|| {
+        run_supervised(&job.profile, &job.technique, &job.sim, &job.specs, deadline)
+    })) {
+        Ok(inst) => wire::encode_frame(wire::KIND_RESULT, &wire::encode_result(&inst)),
+        Err(panic_payload) => {
+            let (kind, message) = crate::engine::classify_payload(panic_payload);
+            failure_frame(kind, &message)
         }
     }
-    out.extend_from_slice(&frame);
-
-    // Raw handle writes bypass libtest's output capture, so the shim test
-    // can serve frames even when spawned as a captured test process.
-    let mut stdout = std::io::stdout().lock();
-    if stdout
-        .write_all(&out)
-        .and_then(|()| stdout.flush())
-        .is_err()
-    {
-        return 3;
-    }
-    0
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +342,8 @@ fn hard_kill_grace(timeout: Duration) -> Duration {
 }
 
 /// The longest the parent sleeps between checks of the shutdown flag
-/// while it waits for a worker to finish.
-const EXIT_WAIT_SLICE: Duration = Duration::from_millis(50);
+/// while it waits for a worker's reply.
+const REPLY_WAIT_SLICE: Duration = Duration::from_millis(50);
 
 /// Where a child's forwarded observability frames go.
 pub(crate) enum ObsRouting<'a> {
@@ -354,10 +366,243 @@ impl std::fmt::Debug for ObsRouting<'_> {
     }
 }
 
+/// Everything a worker is spawned with that could change how it runs a job:
+/// its argv, whether it forwards observability, and every `RESTUNE_*`
+/// variable it inherits (sorted; the two the spawn sets itself are left
+/// out). An idle worker only takes an attempt whose recipe equals its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SpawnRecipe {
+    argv: Vec<OsString>,
+    forward_obs: bool,
+    env: Vec<(OsString, OsString)>,
+}
+
+impl SpawnRecipe {
+    /// The recipe of an attempt made now, or `None` (warned once) when the
+    /// running binary cannot be located.
+    fn current(forward_obs: bool) -> Option<SpawnRecipe> {
+        let Ok(exe) = std::env::current_exe() else {
+            warn_once(
+                &WARNED_SPAWN,
+                "cannot resolve current_exe(); process isolation unavailable, running in-process",
+            );
+            return None;
+        };
+        let mut argv = vec![exe.into_os_string()];
+        match std::env::var("RESTUNE_WORKER_ARGV") {
+            // Test hook: reroute the spawn through arbitrary argv (a libtest
+            // filter selecting the worker-shim test).
+            Ok(raw) => argv.extend(raw.split_whitespace().map(OsString::from)),
+            Err(_) => argv.push(WORKER_SUBCOMMAND.into()),
+        }
+        let mut env: Vec<_> = std::env::vars_os()
+            .filter(|(key, _)| {
+                key.to_str().is_some_and(|k| {
+                    k.starts_with("RESTUNE_") && k != "RESTUNE_ISOLATION" && k != "RESTUNE_TRACE"
+                })
+            })
+            .collect();
+        env.sort();
+        Some(SpawnRecipe {
+            argv,
+            forward_obs,
+            env,
+        })
+    }
+}
+
+thread_local! {
+    /// This thread's idle worker: the one that served its last attempt
+    /// cleanly. Dropping it — the thread exiting, a recipe change — retires
+    /// the child.
+    static IDLE_WORKER: RefCell<Option<Worker>> = const { RefCell::new(None) };
+}
+
+/// A live worker child and the pipes to it.
+struct Worker {
+    recipe: SpawnRecipe,
+    /// Its stdin stays open while the worker lives; closing it (EOF) ends
+    /// an idle worker's loop.
+    child: Child,
+    /// The child's stdout, in chunks, from the drain thread; it disconnects
+    /// at EOF.
+    stdout: mpsc::Receiver<Vec<u8>>,
+    drain: Option<JoinHandle<()>>,
+    frames: wire::PipeScanner,
+    /// `true` once the worker has served an earlier job.
+    reused: bool,
+}
+
+/// How one job went on one worker.
+enum Exchange {
+    /// The worker's stdout closed before it acknowledged the job, so it
+    /// never took it; this is its exit classified.
+    NotTaken((FailureKind, String)),
+    /// The job's outcome.
+    Done(Result<InstrumentedRun, (FailureKind, String)>),
+}
+
+impl Worker {
+    fn spawn(recipe: SpawnRecipe) -> std::io::Result<Worker> {
+        let mut cmd = Command::new(&recipe.argv[0]);
+        cmd.args(&recipe.argv[1..])
+            .env("RESTUNE_ISOLATION", "thread") // children never spawn grandchildren
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit());
+        if recipe.forward_obs {
+            // The child buffers its events and forwards them home in an obs
+            // frame per job rather than opening the parent's trace file.
+            cmd.env("RESTUNE_TRACE", "wire");
+        } else {
+            cmd.env_remove("RESTUNE_TRACE");
+        }
+        let mut child = cmd.spawn()?;
+        // Drain the child's stdout on a thread for the worker's whole life.
+        // An observability frame can exceed the OS pipe buffer (waveform
+        // windows are kilobytes each), so a child must never block in a
+        // write the parent is not yet reading. The parent sleeps on the
+        // channel, so it wakes the moment a frame arrives or the child
+        // exits — no polling delay.
+        let mut pipe = child.stdout.take().expect("stdout is piped");
+        let (tx, rx) = mpsc::channel();
+        let drain = std::thread::spawn(move || {
+            let mut buf = [0u8; 4096];
+            loop {
+                match pipe.read(&mut buf) {
+                    Ok(0) => return,
+                    Ok(n) => {
+                        // Keep reading after the parent hangs up, to EOF.
+                        let _ = tx.send(buf[..n].to_vec());
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return,
+                }
+            }
+        });
+        crate::obs::counter_add("isolation.workers_spawned", 1);
+        Ok(Worker {
+            recipe,
+            child,
+            stdout: rx,
+            drain: Some(drain),
+            frames: wire::PipeScanner::default(),
+            reused: false,
+        })
+    }
+
+    /// Sends one job frame and follows the worker until its reply, its
+    /// exit, the hard deadline, or shutdown. Observability frames are
+    /// routed as they arrive.
+    fn exchange(
+        &mut self,
+        frame: &[u8],
+        app: &str,
+        timeout: Option<Duration>,
+        hard_deadline: Option<Instant>,
+        obs: &ObsRouting<'_>,
+    ) -> Exchange {
+        // A write error (EPIPE from a dead worker) is not fatal here: the
+        // worker's stdout tells the real story.
+        if let Some(stdin) = &mut self.child.stdin {
+            let _ = stdin.write_all(frame).and_then(|()| stdin.flush());
+        }
+        let mut taken = false;
+        loop {
+            while let Some((kind, payload)) = self.frames.next_frame() {
+                match kind {
+                    wire::KIND_ACK if !taken => {
+                        taken = true;
+                        if self.reused {
+                            crate::obs::counter_add("isolation.workers_reused", 1);
+                        }
+                    }
+                    _ if !taken => {
+                        return Exchange::Done(Err((
+                            FailureKind::Transport,
+                            format!("worker sent frame kind {kind} before acknowledging the job"),
+                        )));
+                    }
+                    wire::KIND_OBS => match obs {
+                        ObsRouting::Absorb => {
+                            if let Some((counters, lines)) = wire::decode_obs(&payload) {
+                                crate::obs::counter_add("wire.obs_frames", 1);
+                                crate::obs::absorb_forwarded(&counters, &lines);
+                            }
+                        }
+                        ObsRouting::Relay(forward) => forward(&payload),
+                    },
+                    wire::KIND_RESULT | wire::KIND_FAILURE => {
+                        return Exchange::Done(reply_outcome(kind, &payload, app));
+                    }
+                    _ => {}
+                }
+            }
+            if shutdown_requested() {
+                return Exchange::Done(Err((
+                    FailureKind::Interrupted,
+                    "shutdown signal received; worker killed".to_string(),
+                )));
+            }
+            let now = Instant::now();
+            if hard_deadline.is_some_and(|d| now >= d) {
+                return Exchange::Done(Err((
+                    FailureKind::Timeout,
+                    format!(
+                        "worker exceeded the hard wall-clock deadline \
+                         ({:?} + grace) and was killed",
+                        timeout.unwrap_or_default()
+                    ),
+                )));
+            }
+            // Wake at least every slice to honour the shutdown flag, and
+            // exactly at the hard deadline.
+            let slice = hard_deadline.map_or(REPLY_WAIT_SLICE, |d| (d - now).min(REPLY_WAIT_SLICE));
+            match self.stdout.recv_timeout(slice) {
+                Ok(chunk) => self.frames.extend(&chunk),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    // EOF without a reply: the child is exiting. Reap it
+                    // for its status.
+                    let failure = match self.child.wait() {
+                        Ok(status) => classify_frameless_exit(&status),
+                        Err(e) => (
+                            FailureKind::Crash,
+                            format!("waiting on the worker failed: {e}"),
+                        ),
+                    };
+                    return if taken {
+                        Exchange::Done(Err(failure))
+                    } else {
+                        Exchange::NotTaken(failure)
+                    };
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Worker {
+    /// Retirement: closing stdin ends an idle worker's loop (a failed one
+    /// was killed or has exited already), then the child is reaped and its
+    /// drain thread joined.
+    fn drop(&mut self) {
+        drop(self.child.stdin.take());
+        let _ = self.child.wait();
+        if let Some(drain) = self.drain.take() {
+            let _ = drain.join();
+        }
+    }
+}
+
 /// Runs one application attempt in a child process. Returns `None` when
 /// the attempt is not eligible for process isolation (mode, non-registry
 /// profile, non-`isca04` machine, spawn failure) — the caller then uses the
 /// in-process path. `Some(Err)` carries the classified failure.
+///
+/// The attempt goes to this thread's idle worker when its recipe matches,
+/// and to a fresh spawn otherwise; the worker returns to the idle slot only
+/// after a clean RESULT reply that left its stdout at a frame boundary.
 ///
 /// `force` bypasses the `RESTUNE_ISOLATION` mode gate (the server always
 /// wants the process tier when a worker entry exists); it still requires a
@@ -393,183 +638,91 @@ pub(crate) fn process_attempt(
     let fingerprint = wire::job_fingerprint(profile, technique, sim, specs);
     let payload = wire::encode_job(profile, technique, sim, specs, timeout, fingerprint);
     let frame = wire::encode_frame(wire::KIND_JOB, &payload);
+    // A relay route always wants the obs frame, whatever this process
+    // traces.
+    let forward_obs = matches!(obs, ObsRouting::Relay(_)) || crate::obs::trace_enabled();
+    let recipe = SpawnRecipe::current(forward_obs)?;
+    let hard_deadline = timeout.map(|t| Instant::now() + t + hard_kill_grace(t));
 
-    let Ok(exe) = std::env::current_exe() else {
-        warn_once(
-            &WARNED_SPAWN,
-            "cannot resolve current_exe(); process isolation unavailable, running in-process",
-        );
-        return None;
+    // An idle worker spawned from another recipe is retired right here.
+    let idle = IDLE_WORKER
+        .with_borrow_mut(Option::take)
+        .filter(|w| w.recipe == recipe);
+    let mut worker = match idle {
+        Some(worker) => worker,
+        None => spawn_or_warn(recipe)?,
     };
-    let mut cmd = Command::new(exe);
-    match std::env::var("RESTUNE_WORKER_ARGV") {
-        // Test hook: reroute the spawn through arbitrary argv (a libtest
-        // filter selecting the worker-shim test). The job frame still
-        // carries everything; --app/--fingerprint are then unchecked.
-        Ok(raw) => {
-            cmd.args(raw.split_whitespace());
-        }
-        Err(_) => {
-            cmd.args([
-                WORKER_SUBCOMMAND,
-                "--app",
-                profile.name,
-                "--fingerprint",
-                &format!("{fingerprint:016x}"),
-            ]);
+    loop {
+        match worker.exchange(&frame, profile.name, timeout, hard_deadline, obs) {
+            // A reused worker that died idle never saw this job: the same
+            // frame goes to a fresh spawn, so reuse never fails a job and
+            // never runs one twice.
+            Exchange::NotTaken(_) if worker.reused => {
+                let recipe = worker.recipe.clone();
+                drop(worker);
+                worker = spawn_or_warn(recipe)?;
+            }
+            Exchange::NotTaken(failure) => return Some(Err(failure)),
+            Exchange::Done(outcome) => {
+                if outcome.is_ok() && worker.frames.is_empty() {
+                    worker.reused = true;
+                    IDLE_WORKER.with_borrow_mut(|slot| *slot = Some(worker));
+                } else {
+                    // Anything but a clean reply retires the worker, which
+                    // may still be running the job (deadline, shutdown) or
+                    // be in a state no reply explains. Killing it closes
+                    // its end of the pipe, so the drain thread reaches EOF
+                    // and retirement's reap and join return promptly.
+                    let _ = worker.child.kill();
+                }
+                return Some(outcome);
+            }
         }
     }
-    cmd.env("RESTUNE_ISOLATION", "thread") // children never spawn grandchildren
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit());
-    if matches!(obs, ObsRouting::Relay(_)) || crate::obs::trace_enabled() {
-        // The child buffers its events and forwards them home in an obs
-        // frame rather than opening the parent's trace file itself. A
-        // relay route always wants the frame, whatever this process traces.
-        cmd.env("RESTUNE_TRACE", "wire");
-    } else {
-        cmd.env_remove("RESTUNE_TRACE");
-    }
+}
 
-    let mut child = match cmd.spawn() {
-        Ok(c) => c,
-        Err(e) => {
+/// Spawns a worker, or warns once and returns `None` (the caller falls
+/// back in-process).
+fn spawn_or_warn(recipe: SpawnRecipe) -> Option<Worker> {
+    Worker::spawn(recipe)
+        .map_err(|e| {
             warn_once(
                 &WARNED_SPAWN,
                 &format!("worker spawn failed ({e}); running in-process"),
             );
-            return None;
-        }
-    };
+        })
+        .ok()
+}
 
-    // Deliver the job and close stdin so the child sees EOF. A write
-    // error (EPIPE from an instantly-dead child) is not fatal here: the
-    // exit-status classification below tells the real story.
-    if let Some(mut stdin) = child.stdin.take() {
-        let _ = stdin.write_all(&frame);
-        let _ = stdin.flush();
-    }
-
-    // Drain the child's stdout on a thread. An observability frame can
-    // exceed the OS pipe buffer (waveform windows are kilobytes each), so
-    // reading only after exit would deadlock: the child blocks in write,
-    // the parent waits forever. The drain hands its bytes over a channel
-    // at EOF — the moment the child exits — which is what the parent
-    // sleeps on, so a finished worker is reaped without any polling delay.
-    let stdout_pipe = child.stdout.take();
-    let (eof_tx, eof_rx) = mpsc::channel();
-    let drain = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        if let Some(mut pipe) = stdout_pipe {
-            let _ = pipe.read_to_end(&mut buf);
-        }
-        let _ = eof_tx.send(buf);
-    });
-
-    let hard_deadline = timeout.map(|t| Instant::now() + t + hard_kill_grace(t));
-    let drained = loop {
-        if shutdown_requested() {
-            break Err((
-                FailureKind::Interrupted,
-                "shutdown signal received; worker killed".to_string(),
-            ));
-        }
-        let now = Instant::now();
-        if hard_deadline.is_some_and(|d| now >= d) {
-            break Err((
-                FailureKind::Timeout,
-                format!(
-                    "worker exceeded the hard wall-clock deadline \
-                     ({:?} + grace) and was killed",
-                    timeout.unwrap_or_default()
-                ),
-            ));
-        }
-        // Wake at least every slice to honour the shutdown flag, and
-        // exactly at the hard deadline.
-        let slice = hard_deadline.map_or(EXIT_WAIT_SLICE, |d| (d - now).min(EXIT_WAIT_SLICE));
-        match eof_rx.recv_timeout(slice) {
-            Ok(output) => break Ok(output),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                break Err((
-                    FailureKind::Crash,
-                    "the worker's stdout drain failed".to_string(),
-                ));
-            }
-        }
-    };
-    let output = match drained {
-        Ok(output) => output,
-        Err(failure) => {
-            // Killing the child closes its end of the pipe, so the drain
-            // thread reaches EOF and the join returns promptly.
-            let _ = child.kill();
-            let _ = child.wait();
-            let _ = drain.join();
-            return Some(Err(failure));
-        }
-    };
-    let _ = drain.join();
-    // Stdout reached EOF, so the child is exiting: reap it for its status.
-    let status = match child.wait() {
-        Ok(status) => status,
-        Err(e) => {
-            let _ = child.kill();
-            return Some(Err((
-                FailureKind::Crash,
-                format!("waiting on the worker failed: {e}"),
-            )));
-        }
-    };
-
-    // The child may write an observability frame ahead of its reply:
-    // absorb obs frames into this process's sink/registry, then classify
-    // from the first reply frame.
-    let mut reply = None;
-    for (kind, payload) in wire::scan_frames(&output) {
-        match kind {
-            wire::KIND_OBS => match obs {
-                ObsRouting::Absorb => {
-                    if let Some((counters, lines)) = wire::decode_obs(payload) {
-                        crate::obs::counter_add("wire.obs_frames", 1);
-                        crate::obs::absorb_forwarded(&counters, &lines);
-                    }
-                }
-                ObsRouting::Relay(forward) => forward(payload),
-            },
-            wire::KIND_RESULT | wire::KIND_FAILURE if reply.is_none() => {
-                reply = Some((kind, payload));
-            }
-            _ => {}
-        }
-    }
-
-    Some(match reply {
-        Some((wire::KIND_RESULT, payload)) => match wire::decode_result(payload) {
-            Some(inst) if inst.result.app == profile.name => Ok(inst),
-            Some(inst) => Err((
-                FailureKind::Transport,
-                format!(
-                    "worker replied for app '{}' but '{}' was asked",
-                    inst.result.app, profile.name
-                ),
-            )),
-            None => Err((
-                FailureKind::Transport,
-                "worker result frame failed to decode".to_string(),
-            )),
-        },
-        Some((wire::KIND_FAILURE, payload)) => match wire::decode_failure(payload) {
-            Some((kind, message)) => Err((kind, message)),
-            None => Err((
+/// Classifies a reply frame: a RESULT for the app that was asked, or the
+/// worker's classified failure.
+fn reply_outcome(
+    kind: u8,
+    payload: &[u8],
+    app: &str,
+) -> Result<InstrumentedRun, (FailureKind, String)> {
+    if kind == wire::KIND_FAILURE {
+        return Err(wire::decode_failure(payload).unwrap_or_else(|| {
+            (
                 FailureKind::Transport,
                 "worker failure frame failed to decode".to_string(),
-            )),
-        },
-        _ => Err(classify_frameless_exit(&status)),
-    })
+            )
+        }));
+    }
+    match wire::decode_result(payload) {
+        Some(inst) if inst.result.app == app => Ok(inst),
+        Some(inst) => Err((
+            FailureKind::Transport,
+            format!(
+                "worker replied for app '{}' but '{app}' was asked",
+                inst.result.app
+            ),
+        )),
+        None => Err((
+            FailureKind::Transport,
+            "worker result frame failed to decode".to_string(),
+        )),
+    }
 }
 
 /// Classifies a child that exited without producing an intact reply frame.
@@ -635,6 +788,44 @@ mod tests {
             );
             assert_eq!(got, IsolationMode::Process, "RESTUNE_ISOLATION={value}");
         }
+    }
+
+    #[test]
+    fn spawn_recipes_key_on_argv_forwarding_and_inherited_knobs() {
+        let recipe = |vars: &[(&str, Option<&str>)]| {
+            with_env(vars, || SpawnRecipe::current(false)).expect("current_exe resolves")
+        };
+        let knob = |value: &str| {
+            (
+                OsString::from("RESTUNE_RECIPE_PROBE"),
+                OsString::from(value),
+            )
+        };
+        let plain = recipe(&[
+            ("RESTUNE_RECIPE_PROBE", Some("1")),
+            ("RESTUNE_ISOLATION", Some("process")),
+            ("RESTUNE_TRACE", Some("wire")),
+            ("RECIPE_PROBE_ELSEWHERE", Some("x")),
+            ("RESTUNE_WORKER_ARGV", None),
+        ]);
+        assert_eq!(plain.argv[1..], [OsString::from(WORKER_SUBCOMMAND)]);
+        assert!(plain.env.contains(&knob("1")));
+        assert!(plain.env.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        // The two variables the spawn sets itself, and anything outside
+        // the RESTUNE_ namespace, are not part of the key.
+        for (key, _) in &plain.env {
+            let key = key.to_str().expect("utf-8 key");
+            assert!(key.starts_with("RESTUNE_"), "{key}");
+            assert!(!["RESTUNE_ISOLATION", "RESTUNE_TRACE"].contains(&key));
+        }
+        let changed = recipe(&[("RESTUNE_RECIPE_PROBE", Some("2"))]);
+        assert!(changed.env.contains(&knob("2")) && !changed.env.contains(&knob("1")));
+        let hooked = recipe(&[("RESTUNE_WORKER_ARGV", Some("worker_shim --exact"))]);
+        assert_eq!(
+            hooked.argv[1..],
+            ["worker_shim", "--exact"].map(OsString::from)
+        );
+        assert!(SpawnRecipe::current(true).is_some_and(|r| r.forward_obs));
     }
 
     #[test]

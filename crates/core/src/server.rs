@@ -884,11 +884,17 @@ fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
         );
         let shared2 = shared.clone();
         let handle = std::thread::spawn(move || reader_loop(&shared2, &conn, reader_sock));
-        shared
+        let mut readers = shared
             .readers
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
+            .unwrap_or_else(PoisonError::into_inner);
+        // Join the readers of connections that have closed: an exited but
+        // unjoined thread keeps its stack mapped, and a long-lived server
+        // would run out of mappings.
+        for finished in readers.extract_if(.., |reader| reader.is_finished()) {
+            let _ = finished.join();
+        }
+        readers.push(handle);
     }
 }
 
@@ -1339,6 +1345,53 @@ mod tests {
         );
         let survivor = sched.pop().expect("tenant B survives");
         assert_eq!((survivor.conn.id, survivor.req_id), (2, 11));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn finished_reader_threads_are_joined_on_accept() {
+        let dir = std::env::temp_dir().join(format!("restune-readers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let sock = dir.join("s.sock");
+        let cfg = ServerConfig {
+            workers: 1,
+            cache_dir: Some(dir.join("cache")),
+            ..ServerConfig::from_env()
+        };
+        let server = Server::start(Endpoint::Unix(sock.clone()), cfg).expect("server starts");
+        for cycle in 0..50 {
+            // Reading the hello proves the server accepted this connection;
+            // dropping the stream then ends its reader.
+            let mut client = UnixStream::connect(&sock).expect("connect");
+            let mut decoder = wire::StreamDecoder::new();
+            let mut buf = [0u8; 256];
+            while decoder
+                .next_frame()
+                .expect("server frames are intact")
+                .is_none()
+            {
+                let n = client.read(&mut buf).expect("hello arrives");
+                assert!(n > 0, "cycle {cycle}: the server hung up before its hello");
+                decoder.extend(&buf[..n]);
+            }
+            drop(client);
+            let gone = Instant::now() + Duration::from_secs(10);
+            while !server.shared.conns.lock().unwrap().is_empty() {
+                assert!(
+                    Instant::now() < gone,
+                    "cycle {cycle}: the reader never exited"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let readers = server.shared.readers.lock().unwrap().len();
+        assert!(
+            readers <= 2,
+            "{readers} reader handles kept after 50 closed connections"
+        );
+        assert_eq!(server.drain_and_stop().connections, 50);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn fake_sock() -> Sock {

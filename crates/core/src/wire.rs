@@ -1,6 +1,6 @@
 //! The byte-level protocol of the process-isolation tier: length-prefixed,
-//! CRC-checked frames carrying one simulation job (parent → worker stdin)
-//! and one reply (worker stdout → parent).
+//! CRC-checked frames carrying simulation jobs (parent → worker stdin) and,
+//! per job, an acknowledgement and one reply (worker stdout → parent).
 //!
 //! Everything is hand-rolled over fixed-width little-endian scalars — the
 //! workspace is offline, so no serde — and every float crosses the boundary
@@ -65,6 +65,10 @@ pub(crate) const KIND_HELLO: u8 = 10;
 pub(crate) const KIND_PROBE: u8 = 11;
 /// Mesh protocol: the reply to one probe (`nonce`, host generation).
 pub(crate) const KIND_PROBE_ACK: u8 = 12;
+/// Worker protocol: the worker has taken the job frame it just read (empty
+/// payload). Sent before the job runs, so the parent can tell a worker that
+/// died idle — the job may go to a fresh one — from one that died on it.
+pub(crate) const KIND_ACK: u8 = 13;
 
 /// Cap on the fault-spec count a job frame may declare. Counts are read off
 /// the wire *before* any allocation, so a corrupt length fails as a
@@ -239,64 +243,71 @@ pub(crate) fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Scans `bytes` for the first intact frame and returns its kind and
-/// payload. Leading noise, a corrupt candidate (bad version, length past the
-/// buffer, CRC mismatch), or an unrelated `RSTF` in the noise just moves the
-/// scan forward; `None` means no intact frame anywhere.
-pub(crate) fn scan_frame(bytes: &[u8]) -> Option<(u8, &[u8])> {
-    scan_frame_from(bytes, 0).map(|(kind, payload, _)| (kind, payload))
+/// Incremental, lenient frame reader for worker pipes: feed it reads with
+/// [`PipeScanner::extend`], pull intact frames with
+/// [`PipeScanner::next_frame`]. Leading noise, a corrupt candidate (bad
+/// version, CRC mismatch), or an unrelated `RSTF` in the noise is skipped,
+/// so a worker may emit unrelated bytes around its frames (a libtest shim
+/// prints its own chatter) without confusing the parent. Sockets use the
+/// strict [`StreamDecoder`] instead.
+///
+/// The scanner yields the same frames however the stream is split into
+/// reads, so a worker's pipe can be consumed as it arrives.
+#[derive(Debug, Default)]
+pub(crate) struct PipeScanner {
+    buf: Vec<u8>,
 }
 
-/// Collects every intact frame in `bytes`, in order. A worker's stdout may
-/// carry an observability frame before the reply frame; the parent consumes
-/// both from one buffered read.
-pub(crate) fn scan_frames(bytes: &[u8]) -> Vec<(u8, &[u8])> {
-    let mut frames = Vec::new();
-    let mut start = 0usize;
-    while let Some((kind, payload, next)) = scan_frame_from(bytes, start) {
-        frames.push((kind, payload));
-        start = next;
+impl PipeScanner {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
-    frames
+
+    /// `true` when no byte is buffered: the stream sits at a frame boundary.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// The next intact frame, dropping the noise before it; `None` until
+    /// one is complete.
+    pub(crate) fn next_frame(&mut self) -> Option<(u8, Vec<u8>)> {
+        let (kind, payload, end) = scan_frame(&self.buf)?;
+        let payload = payload.to_vec();
+        self.buf.drain(..end);
+        Some((kind, payload))
+    }
 }
 
-/// The scan behind [`scan_frame`] / [`scan_frames`]: the first intact frame
-/// at or after byte `start`, plus the offset just past it (so a multi-frame
-/// scan resumes after the payload instead of re-matching magic inside it).
-fn scan_frame_from(bytes: &[u8], mut start: usize) -> Option<(u8, &[u8], usize)> {
-    while start + 14 <= bytes.len() {
+/// The scan behind [`PipeScanner`]: the first intact frame in `bytes`,
+/// plus the offset just past it (so the next scan resumes after the payload
+/// instead of re-matching magic inside it). A candidate with the wrong
+/// version or a failing CRC is skipped; one with the right version whose
+/// header or payload has not fully arrived ends the scan, because on a live
+/// pipe it cannot yet be told from noise.
+fn scan_frame(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
+    let mut start = 0;
+    loop {
         let offset = bytes[start..]
             .windows(4)
             .position(|w| w == MAGIC)
             .map(|o| start + o)?;
         start = offset + 1;
         let header = offset + 4;
-        let Some(&version) = bytes.get(header) else {
-            continue;
-        };
-        let Some(&kind) = bytes.get(header + 1) else {
-            continue;
-        };
-        if version != VERSION {
+        if *bytes.get(header)? != VERSION {
             continue;
         }
-        let Some(len_bytes) = bytes.get(header + 2..header + 6) else {
-            continue;
-        };
+        let kind = *bytes.get(header + 1)?;
+        let len_bytes = bytes.get(header + 2..header + 6)?;
         let len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice")) as usize;
         let body = header + 6;
-        let Some(payload) = bytes.get(body..body + len) else {
-            continue;
-        };
-        let Some(crc_bytes) = bytes.get(body + len..body + len + 4) else {
-            continue;
-        };
+        let end = body.checked_add(len)?.checked_add(4)?;
+        let frame = bytes.get(body..end)?;
+        let (payload, crc_bytes) = frame.split_at(len);
         let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
         if crc == crc32(payload) {
-            return Some((kind, payload, body + len + 4));
+            return Some((kind, payload, end));
         }
     }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1008,15 +1019,36 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every frame a [`PipeScanner`] yields for `stream`, fed whole and
+    /// again one byte at a time: a pipe may split anything anywhere, and
+    /// both feeds must yield the same frames.
+    fn scan_all(stream: &[u8]) -> Vec<(u8, Vec<u8>)> {
+        let mut whole = PipeScanner::default();
+        whole.extend(stream);
+        let frames: Vec<_> = std::iter::from_fn(|| whole.next_frame()).collect();
+        let mut trickled = PipeScanner::default();
+        let mut again = Vec::new();
+        for byte in stream {
+            trickled.extend(std::slice::from_ref(byte));
+            again.extend(std::iter::from_fn(|| trickled.next_frame()));
+        }
+        assert_eq!(frames, again, "the split points changed the frames");
+        frames
+    }
+
     #[test]
     fn frame_round_trips_through_surrounding_noise() {
         let payload = b"the payload".to_vec();
         let mut stream = b"running 1 test\nRSTF half-magic noise ".to_vec();
         stream.extend_from_slice(&encode_frame(KIND_RESULT, &payload));
         stream.extend_from_slice(b"\ntest result: ok\n");
-        let (kind, decoded) = scan_frame(&stream).expect("frame found through noise");
-        assert_eq!(kind, KIND_RESULT);
-        assert_eq!(decoded, payload.as_slice());
+        assert_eq!(scan_all(&stream), vec![(KIND_RESULT, payload)]);
+        // The frame and the noise before it are consumed; the trailing
+        // chatter stays buffered, so the stream is not at a frame boundary.
+        let mut scanner = PipeScanner::default();
+        scanner.extend(&stream);
+        assert!(scanner.next_frame().is_some());
+        assert!(scanner.next_frame().is_none() && !scanner.is_empty());
     }
 
     #[test]
@@ -1024,9 +1056,12 @@ mod tests {
         let mut frame = encode_frame(KIND_JOB, b"payload-bytes");
         let mid = frame.len() - 6; // inside the payload
         frame[mid] ^= 0x01;
-        assert!(scan_frame(&frame).is_none(), "CRC must catch the flip");
-        assert!(scan_frame(b"no frame here").is_none());
-        assert!(scan_frame(&[]).is_none());
+        assert!(scan_all(&frame).is_empty(), "CRC must catch the flip");
+        assert!(scan_all(b"no frame here").is_empty());
+        assert!(scan_all(&[]).is_empty());
+        // A frame after the corrupt one still comes through.
+        frame.extend_from_slice(&encode_frame(KIND_ACK, &[]));
+        assert_eq!(scan_all(&frame), vec![(KIND_ACK, Vec::new())]);
     }
 
     #[test]
@@ -1161,27 +1196,24 @@ mod tests {
     #[test]
     fn multi_frame_streams_scan_in_order() {
         let mut stream = b"libtest chatter ".to_vec();
+        stream.extend_from_slice(&encode_frame(KIND_ACK, &[]));
         stream.extend_from_slice(&encode_frame(KIND_OBS, &encode_obs(&[], &[])));
         stream.extend_from_slice(b" between-frame noise RSTF fake ");
         stream.extend_from_slice(&encode_frame(KIND_RESULT, b"reply"));
         stream.extend_from_slice(b"\ntrailing chatter\n");
-        let frames = scan_frames(&stream);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].0, KIND_OBS);
-        assert_eq!(frames[1].0, KIND_RESULT);
-        assert_eq!(frames[1].1, b"reply");
-        // The single-frame scan still returns the first one.
-        assert_eq!(scan_frame(&stream).map(|(k, _)| k), Some(KIND_OBS));
+        let kinds: Vec<u8> = scan_all(&stream).iter().map(|(k, _)| *k).collect();
+        assert_eq!(kinds, [KIND_ACK, KIND_OBS, KIND_RESULT]);
+        assert_eq!(scan_all(&stream)[2].1, b"reply");
         // A payload that itself contains frame-like bytes does not derail
         // the resume point of the multi-frame scan.
         let inner = encode_frame(KIND_FAILURE, b"inner");
         let outer = encode_frame(KIND_RESULT, &inner);
         let mut doubled = outer.clone();
         doubled.extend_from_slice(&encode_frame(KIND_OBS, b"after"));
-        let frames = scan_frames(&doubled);
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0], (KIND_RESULT, inner.as_slice()));
-        assert_eq!(frames[1], (KIND_OBS, b"after".as_slice()));
+        assert_eq!(
+            scan_all(&doubled),
+            vec![(KIND_RESULT, inner), (KIND_OBS, b"after".to_vec())]
+        );
     }
 
     #[test]

@@ -438,14 +438,31 @@ fn torn_checkpoints_recover_at_row_granularity() {
 
 /// Not a real test: the process-isolation tests below re-exec this test
 /// binary with `worker_shim --exact` as its arguments, turning the libtest
-/// run into a restune worker. `RESTUNE_WORKER_SHIM=1` serves the job;
-/// `hang` reads it and then never replies, a non-cooperative hang only the
-/// parent's hard kill can end. Without the env gate it is a no-op, so a
-/// normal `cargo test` sails through it.
+/// run into a restune worker. `RESTUNE_WORKER_SHIM=1` serves jobs until
+/// stdin closes; `once` serves one job and exits without reading further,
+/// a worker that dies while idle; `hang` reads its job and never replies,
+/// a non-cooperative hang only the parent's hard kill can end. Without the
+/// env gate it is a no-op, so a normal `cargo test` sails through it.
 #[test]
 fn worker_shim() {
     match std::env::var("RESTUNE_WORKER_SHIM").as_deref() {
-        Ok("1") => std::process::exit(restune::isolation::serve_worker(None, None)),
+        Ok("1") => std::process::exit(restune::isolation::serve_worker(std::io::stdin().lock())),
+        Ok("once") => {
+            // One frame: magic, version, kind, u32 payload length, payload,
+            // CRC32. The worker sees EOF right after it.
+            let mut stdin = std::io::stdin().lock();
+            let mut frame = vec![0u8; 10];
+            let mut read = |buf: &mut [u8]| std::io::Read::read_exact(&mut stdin, buf).is_ok();
+            if !read(&mut frame) {
+                std::process::exit(3);
+            }
+            let len = u32::from_le_bytes(frame[6..10].try_into().expect("4 bytes")) as usize;
+            frame.resize(10 + len + 4, 0);
+            if !read(&mut frame[10..]) {
+                std::process::exit(3);
+            }
+            std::process::exit(restune::isolation::serve_worker(frame.as_slice()));
+        }
         Ok("hang") => {
             let _ = std::io::Read::read_to_end(&mut std::io::stdin(), &mut Vec::new());
             std::thread::sleep(Duration::from_secs(60));
@@ -456,16 +473,64 @@ fn worker_shim() {
 }
 
 /// Environment under which the engine spawns `worker_shim` child processes
-/// of this very test binary as its process-isolation tier, in shim `mode`.
-fn with_shim_workers<R>(mode: &str, f: impl FnOnce() -> R) -> R {
-    restune::testenv::with_env(
-        &[
-            ("RESTUNE_ISOLATION", Some("process")),
-            ("RESTUNE_WORKER_ARGV", Some("worker_shim --exact")),
-            ("RESTUNE_WORKER_SHIM", Some(mode)),
-        ],
-        f,
+/// of this very test binary as its process-isolation tier, in shim `mode`;
+/// `pool` pins `RESTUNE_WORKERS` (`Some("1")`: one pool thread, so one
+/// worker child at a time).
+fn with_shim_workers<R>(mode: &str, pool: Option<&str>, f: impl FnOnce() -> R) -> R {
+    let mut env = vec![
+        ("RESTUNE_ISOLATION", Some("process")),
+        ("RESTUNE_WORKER_ARGV", Some("worker_shim --exact")),
+        ("RESTUNE_WORKER_SHIM", Some(mode)),
+    ];
+    if pool.is_some() {
+        env.push(("RESTUNE_WORKERS", pool));
+    }
+    restune::testenv::with_env(&env, f)
+}
+
+/// Current value of a process-global counter (0 if never bumped).
+fn counter(name: &str) -> u64 {
+    restune::obs::snapshot_counters()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| v)
+}
+
+/// How many worker children `f` spawned and reused. Callers hold
+/// [`WORKER_ENV`] exclusively, so no other test's suite moves the counters.
+fn spawned_and_reused<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    let (spawned, reused) = (
+        counter("isolation.workers_spawned"),
+        counter("isolation.workers_reused"),
+    );
+    let out = f();
+    (
+        out,
+        counter("isolation.workers_spawned") - spawned,
+        counter("isolation.workers_reused") - reused,
     )
+}
+
+/// This process's live or unreaped `worker_shim` children, from `/proc`.
+#[cfg(target_os = "linux")]
+fn shim_children() -> Vec<u32> {
+    let me = std::process::id().to_string();
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+            // `pid (comm) state ppid ...`; comm may hold spaces.
+            let ppid = stat
+                .rsplit(')')
+                .next()
+                .and_then(|rest| rest.split_whitespace().nth(1));
+            let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+            ppid == Some(me.as_str()) && String::from_utf8_lossy(&cmdline).contains("worker_shim")
+        })
+        .collect()
 }
 
 #[test]
@@ -479,7 +544,7 @@ fn process_isolated_suite_is_bit_exact() {
         timeout: Some(Duration::from_secs(120)),
         ..fast_retries()
     };
-    let isolated = with_shim_workers("1", || {
+    let isolated = with_shim_workers("1", None, || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
     });
 
@@ -511,7 +576,7 @@ fn hard_crashes_are_contained_by_process_isolation() {
     let plan = FaultPlan::none()
         .with_persistent_fault(APPS[0], FaultSpec::WorkerAbort)
         .with_persistent_fault(APPS[2], FaultSpec::WorkerKill);
-    let crashed = with_shim_workers("1", || {
+    let crashed = with_shim_workers("1", None, || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &plan)
     });
 
@@ -531,7 +596,7 @@ fn hard_crashes_are_contained_by_process_isolation() {
     // completed app, re-runs the crashed ones, and matches an uninterrupted
     // reference bit-for-bit.
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
-    let resumed = with_shim_workers("1", || {
+    let resumed = with_shim_workers("1", None, || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
     });
     assert_eq!(
@@ -553,6 +618,174 @@ fn hard_crashes_are_contained_by_process_isolation() {
 }
 
 #[test]
+fn one_worker_serves_a_whole_suite_bit_exactly() {
+    // A process-tier suite on one pool thread hands every job to the same
+    // long-lived worker: one spawn per suite call, reused for the rest.
+    let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
+    let profiles = profiles();
+    let sim = SimConfig::isca04(20_000);
+    let sup = SupervisorConfig {
+        timeout: Some(Duration::from_secs(120)),
+        ..fast_retries()
+    };
+    for technique in [
+        Technique::Base,
+        Technique::Tuning(restune::TuningConfig::isca04_table1(100)),
+    ] {
+        let reference = try_run_suite(&profiles, &technique, &sim).expect("suite runs");
+        let (isolated, spawned, reused) = with_shim_workers("1", Some("1"), || {
+            spawned_and_reused(|| {
+                run_suite_supervised(&profiles, &technique, &sim, &sup, &FaultPlan::none())
+            })
+        });
+        assert!(isolated.report.is_clean(), "{:?}", isolated.report);
+        assert_eq!(
+            isolated.all_results().expect("every job is served"),
+            reference.results,
+            "{}: a reused worker must stay bit-identical to the thread tier",
+            technique.name()
+        );
+        assert_eq!((spawned, reused), (1, APPS.len() as u64 - 1));
+        #[cfg(target_os = "linux")]
+        assert_eq!(
+            shim_children(),
+            [],
+            "the worker retires with its pool thread"
+        );
+    }
+}
+
+#[test]
+fn every_failure_retires_its_worker() {
+    // Persistent abort, SIGKILL and panic faults each end their attempt
+    // with the worker retired (the panic one replies, but only a clean
+    // RESULT earns reuse), so every failure but a last one costs a spawn.
+    let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
+    let names = ["gzip", "mcf", "parser", "fma3d", "swim", "vpr"];
+    let profiles: Vec<_> = names
+        .iter()
+        .map(|n| spec2k::by_name(n).expect("app is in the suite"))
+        .collect();
+    let sim = SimConfig::isca04(20_000);
+    let sup = SupervisorConfig {
+        max_retries: 0,
+        timeout: Some(Duration::from_secs(120)),
+        ..fast_retries()
+    };
+    let plan = FaultPlan::none()
+        .with_persistent_fault("mcf", FaultSpec::WorkerAbort)
+        .with_persistent_fault("fma3d", FaultSpec::WorkerKill)
+        .with_persistent_fault("swim", FaultSpec::WorkerPanic);
+    let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
+    let (suite, spawned, _) = with_shim_workers("1", Some("1"), || {
+        spawned_and_reused(|| run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &plan))
+    });
+
+    let failed: Vec<_> = suite
+        .outcomes
+        .iter()
+        .filter_map(|o| o.as_ref().err())
+        .map(|f| (f.app.as_str(), f.kind))
+        .collect();
+    assert_eq!(
+        failed,
+        [
+            ("mcf", FailureKind::Crash),
+            ("fma3d", FailureKind::Crash),
+            ("swim", FailureKind::Panic)
+        ]
+    );
+    assert_eq!(spawned, 1 + failed.len() as u64);
+    for (i, outcome) in suite.outcomes.iter().enumerate() {
+        if let Ok(result) = outcome {
+            assert_eq!(*result, reference.results[i], "{} is bit-exact", names[i]);
+        }
+    }
+}
+
+#[test]
+fn a_worker_that_dies_idle_hands_its_job_to_a_fresh_one() {
+    // `once` workers exit after one job. Whether the next job's frame
+    // reaches the pipe before the exit or hits a closed one, the worker
+    // never acknowledges it, so the same frame goes to a fresh spawn:
+    // nothing fails, nothing runs twice.
+    let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
+    let profiles = profiles();
+    let sim = SimConfig::isca04(20_000);
+    let sup = SupervisorConfig {
+        max_retries: 0,
+        timeout: Some(Duration::from_secs(120)),
+        ..fast_retries()
+    };
+    let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
+    let failures = counter("engine.attempt_failures");
+    let (suite, spawned, reused) = with_shim_workers("once", Some("1"), || {
+        spawned_and_reused(|| {
+            run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
+        })
+    });
+    assert!(suite.report.is_clean(), "{:?}", suite.report);
+    assert_eq!(counter("engine.attempt_failures"), failures);
+    assert_eq!(
+        suite.all_results().expect("every job completes"),
+        reference.results
+    );
+    assert_eq!((spawned, reused), (APPS.len() as u64, 0));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_server_worker_thread_keeps_one_worker_and_retires_it_on_stop() {
+    let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
+    let dir = std::env::temp_dir().join(format!("restune-ft-server-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let profiles = profiles();
+    let sim = SimConfig::isca04(20_000);
+    let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
+    let endpoint = restune::Endpoint::parse(dir.join("s.sock").to_str().expect("utf-8 path"));
+
+    let (children_while_up, children_after, spawned, reused, served) =
+        with_shim_workers("1", None, || {
+            let server = restune::Server::start(
+                endpoint.clone(),
+                restune::ServerConfig {
+                    workers: 1,
+                    cache_dir: Some(dir.join("cache")),
+                    ..restune::ServerConfig::from_env()
+                },
+            )
+            .expect("server starts");
+            restune::set_connect(&endpoint.to_string()).expect("server is reachable");
+            let (suite, spawned, reused) = spawned_and_reused(|| {
+                run_suite_supervised(
+                    &profiles,
+                    &Technique::Base,
+                    &sim,
+                    &SupervisorConfig::default(),
+                    &FaultPlan::none(),
+                )
+            });
+            restune::clear_connect();
+            let children_while_up = shim_children().len();
+            let stats = server.drain_and_stop();
+            assert_eq!(stats.jobs_run, APPS.len() as u64);
+            (
+                children_while_up,
+                shim_children().len(),
+                spawned,
+                reused,
+                suite.all_results(),
+            )
+        });
+    assert_eq!(served.expect("every job is served"), reference.results);
+    assert_eq!((spawned, reused), (1, APPS.len() as u64 - 1));
+    assert_eq!(children_while_up, 1, "the idle worker waits for work");
+    assert_eq!(children_after, 0, "drain_and_stop retires the worker");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_hung_worker_is_hard_killed_at_the_deadline() {
     // The worker ignores the cooperative watchdog its job frame carries, so
     // only the parent's backstop can end the attempt: a kill at the hard
@@ -566,7 +799,7 @@ fn a_hung_worker_is_hard_killed_at_the_deadline() {
     };
     let _env = WORKER_ENV.write().unwrap_or_else(PoisonError::into_inner);
     let started = std::time::Instant::now();
-    let suite = with_shim_workers("hang", || {
+    let suite = with_shim_workers("hang", None, || {
         run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none())
     });
     let elapsed = started.elapsed();

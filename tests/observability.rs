@@ -122,23 +122,28 @@ fn worker_shim() {
     if std::env::var("RESTUNE_WORKER_SHIM").as_deref() != Ok("1") {
         return;
     }
-    std::process::exit(restune::isolation::serve_worker(None, None));
+    std::process::exit(restune::isolation::serve_worker(std::io::stdin().lock()));
 }
 
 /// The cross-tier acceptance bar: with tracing enabled, a process-isolated
 /// suite forwards its workers' events home, so the parent's trace carries
 /// the same event kinds as a thread-tier run of the same seeded suite —
-/// and the results stay bit-identical.
+/// and the results stay bit-identical. One pool thread serves all three
+/// profiles through one reused worker, so every job must forward only its
+/// own counters and lines.
 #[test]
 fn process_tier_forwards_the_same_event_kinds_as_thread_tier() {
-    let profiles = vec![spec2k::by_name("swim").unwrap()];
+    let profiles: Vec<_> = ["swim", "mcf", "parser"]
+        .iter()
+        .map(|n| spec2k::by_name(n).unwrap())
+        .collect();
     let sim = SimConfig::isca04(150_000);
     let sup = SupervisorConfig {
         timeout: Some(Duration::from_secs(120)),
         ..SupervisorConfig::default()
     };
     let run_tier = |extra_env: &[(&str, Option<&str>)]| {
-        let mut env = vec![("RESTUNE_TRACE", None)];
+        let mut env = vec![("RESTUNE_TRACE", None), ("RESTUNE_WORKERS", Some("1"))];
         env.extend_from_slice(extra_env);
         restune::testenv::with_env(&env, || {
             let buffer = obs::TraceBuffer::new();
@@ -193,6 +198,14 @@ fn process_tier_forwards_the_same_event_kinds_as_thread_tier() {
             "{name} is live"
         );
     }
+    assert_eq!(
+        (
+            find(&counters_proc, "isolation.workers_spawned"),
+            find(&counters_proc, "isolation.workers_reused")
+        ),
+        (Some(1), Some(2)),
+        "one worker served all three jobs"
+    );
 }
 
 proptest! {
