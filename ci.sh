@@ -160,11 +160,7 @@ for k in ("suite-start", "run-start", "violation", "waveform", "run-end",
     assert k in kinds, f"trace missing {k!r} events: {sorted(kinds)}"
 windows = [l for l in lines if l["kind"] == "waveform"]
 assert all(l["samples"] for l in windows), "empty waveform window"
-counters = {l["name"]: l["value"] for l in lines if l["kind"] == "counter"}
-assert counters.get("engine.lane_runs", 0) > 0, \
-    f"lane pack not exercised: engine.lane_runs absent or zero in {counters}"
-print(f"trace ok: {len(lines)} events, {len(windows)} waveform windows, "
-      f"{counters['engine.lane_runs']} lane-packed runs")
+print(f"trace ok: {len(lines)} events, {len(windows)} waveform windows")
 EOF
 
 echo "==> kernel bench smoke (--test mode + BENCH_kernel.json schema)"
@@ -180,9 +176,9 @@ import json, sys
 for path in sys.argv[1:]:
     with open(path) as f:
         doc = json.load(f)
-    assert doc.get("schema") == "restune-kernel-bench-v2", \
+    assert doc.get("schema") == "restune-kernel-bench-v3", \
         f"{path}: schema drift: {doc.get('schema')!r}"
-    for key in ("mode", "batch_size", "lane_width", "benchmarks", "table3_suite"):
+    for key in ("mode", "batch_size", "benchmarks", "table3_suite"):
         assert key in doc, f"{path}: missing top-level key {key!r}"
     assert doc["benchmarks"], f"{path}: no benchmark rows"
     for row in doc["benchmarks"]:
@@ -193,9 +189,7 @@ for path in sys.argv[1:]:
     for key in ("apps", "instructions_per_app",
                 "fused_wall_seconds", "fused_cycles_per_second",
                 "reference_wall_seconds", "reference_cycles_per_second",
-                "lanes_wall_seconds", "lanes_cycles_per_second", "lane_width",
-                "speedup_cycles_per_second", "speedup_lanes_vs_fused",
-                "speedup_lanes_vs_reference"):
+                "speedup_cycles_per_second"):
         assert key in suite, f"{path}: table3_suite missing {key!r}"
     print(f"{path}: schema ok ({doc['mode']} mode)")
 EOF
@@ -440,9 +434,10 @@ grep -q 'probes=' "$mesh_dir"/host*.log || {
 
 echo "==> sweep smoke (grid sweep: store sharing, frontier byte-identity, mesh)"
 # The same small grid runs once per execution path against fresh caches —
-# lane-parallel, serial (RESTUNE_LANES=1), and through a restuned host
-# (--connect; the scaled-PDN points fall back to local execution by design)
-# — and the Pareto frontier must come out byte-identical from all three.
+# the default worker pool, serial (RESTUNE_WORKERS=1), and through a
+# restuned host (--connect; the scaled-PDN points fall back to local
+# execution by design) — and the Pareto frontier must come out
+# byte-identical from all three.
 # A repeat run over the first cache must then serve every previously
 # computed run from the content-addressed store (hits == runs in the
 # --json store section), reproducing the frontier without simulating.
@@ -450,11 +445,11 @@ echo "==> sweep smoke (grid sweep: store sharing, frontier byte-identity, mesh)"
 # validates the sweep-point / frontier-point / sweep-end event shapes.
 sweep_dir=$(mktemp -d)
 sweep_grid="--grid pdn=1.0,1.5 --grid tuning=75,100"
-RESTUNE_CACHE_DIR="$sweep_dir/lanes" ./target/release/sweep -n 8000 \
+RESTUNE_CACHE_DIR="$sweep_dir/pool" ./target/release/sweep -n 8000 \
     $sweep_grid --json --trace-out "$sweep_dir/sweep.jsonl" \
-    > "$sweep_dir/lanes.json"
+    > "$sweep_dir/pool.json"
 ./target/release/trace_report --check "$sweep_dir/sweep.jsonl" > /dev/null
-RESTUNE_CACHE_DIR="$sweep_dir/serial" RESTUNE_LANES=1 ./target/release/sweep \
+RESTUNE_CACHE_DIR="$sweep_dir/serial" RESTUNE_WORKERS=1 ./target/release/sweep \
     -n 8000 $sweep_grid --json > "$sweep_dir/serial.json"
 sweep_sock="$sweep_dir/restuned.sock"
 RESTUNE_CACHE_DIR="$sweep_dir/server-cache" \
@@ -467,30 +462,30 @@ RESTUNE_CACHE_DIR="$sweep_dir/mesh" ./target/release/sweep -n 8000 \
     $sweep_grid --json --connect "$sweep_sock" > "$sweep_dir/mesh.json"
 kill -TERM "$sweep_srv"
 wait "$sweep_srv" || { echo "sweep smoke: restuned failed to drain" >&2; exit 1; }
-RESTUNE_CACHE_DIR="$sweep_dir/lanes" ./target/release/sweep -n 8000 \
+RESTUNE_CACHE_DIR="$sweep_dir/pool" ./target/release/sweep -n 8000 \
     $sweep_grid --json > "$sweep_dir/replay.json"
 python3 - "$sweep_dir" <<'EOF'
 import json, sys
 d = sys.argv[1]
 load = lambda name: json.load(open(f"{d}/{name}.json"))
-lanes, serial, mesh, replay = (load(n) for n in ("lanes", "serial", "mesh", "replay"))
+pool, serial, mesh, replay = (load(n) for n in ("pool", "serial", "mesh", "replay"))
 for name, doc in (("serial", serial), ("mesh", mesh), ("replay", replay)):
-    assert doc["frontier"] == lanes["frontier"], \
-        f"{name}: Pareto frontier diverged from the lane-parallel run"
-    assert doc["sweep"] == lanes["sweep"], \
-        f"{name}: sweep points diverged from the lane-parallel run"
-assert lanes["frontier"], "sweep produced an empty frontier"
+    assert doc["frontier"] == pool["frontier"], \
+        f"{name}: Pareto frontier diverged from the worker-pool run"
+    assert doc["sweep"] == pool["sweep"], \
+        f"{name}: sweep points diverged from the worker-pool run"
+assert pool["frontier"], "sweep produced an empty frontier"
 store = replay["store"][0]
 assert store["store_hits"] == store["runs"] and store["store_misses"] == 0, \
     f"replay must serve every run from the store: {store}"
-first_store = lanes["store"][0]
+first_store = pool["store"][0]
 assert first_store["store_hits"] == 0, \
     f"a fresh cache cannot hit the store: {first_store}"
 kinds = {json.loads(l)["kind"] for l in open(f"{d}/sweep.jsonl") if l.strip()}
 for k in ("sweep-start", "sweep-point", "frontier-point", "sweep-end"):
     assert k in kinds, f"sweep trace missing {k!r} events: {sorted(kinds)}"
-print(f"sweep ok: {len(lanes['sweep'])} points, {len(lanes['frontier'])} on the "
-      f"frontier, byte-identical across lanes/serial/mesh, "
+print(f"sweep ok: {len(pool['sweep'])} points, {len(pool['frontier'])} on the "
+      f"frontier, byte-identical across pool/serial/mesh, "
       f"{store['store_hits']} store-served on replay")
 EOF
 

@@ -1,7 +1,6 @@
 //! Kernel benchmark: the fused batched engine ([`EnginePath::Fused`])
 //! against the per-cycle pre-kernel reference loop
-//! ([`EnginePath::Reference`]) and the SoA lane pack
-//! ([`restune::run_suite_lanes`]), on three scales:
+//! ([`EnginePath::Reference`]), on three scales:
 //!
 //! * **hot loop** — one base-machine run, reported as ns/cycle of the
 //!   controller → CPU → power → supply chain;
@@ -9,26 +8,21 @@
 //!   cycles/second;
 //! * **table3 suite** — the Table 3 workload shape (every SPEC2K app under
 //!   the base machine and the 100-cycle tuning point), reported as suite
-//!   wall time and aggregate cycles/second. The suite is where the lane
-//!   pack applies (it packs same-config runs), so it is measured on all
-//!   three paths — with the passes *alternated* round-robin rather than
-//!   timed back-to-back, so slow VM drift hits every path equally instead
-//!   of biasing whichever ran last.
+//!   wall time and aggregate cycles/second, with the two paths' passes
+//!   *alternated* round-robin rather than timed back-to-back, so slow VM
+//!   drift hits both equally instead of biasing whichever ran last.
 //!
 //! Besides the criterion output, the harness writes a machine-readable
 //! `BENCH_kernel.json` (at the repository root, or wherever
-//! `RESTUNE_BENCH_OUT` points) with every measurement, the fused-vs-
-//! reference suite speedup, and the lanes-vs-fused / lanes-vs-reference
-//! suite speedups. Under `--test` the benchmark bodies run once on shrunk
-//! workloads and the JSON is still produced from a single timed pass, so CI
-//! can validate the schema cheaply.
+//! `RESTUNE_BENCH_OUT` points) with every measurement and the fused-vs-
+//! reference suite speedup. Under `--test` the benchmark bodies run once on
+//! shrunk workloads and the JSON is still produced from a single timed
+//! pass, so CI can validate the schema cheaply.
 
 use std::time::Instant;
 
 use criterion::{black_box, BenchmarkGroup, Criterion, Throughput};
-use restune::{
-    lane_count, run_on_path, run_suite_lanes, EnginePath, SimConfig, Technique, TuningConfig,
-};
+use restune::{run_on_path, EnginePath, SimConfig, Technique, TuningConfig};
 use workloads::{spec2k, WorkloadProfile};
 
 /// Instructions per run at full measurement scale.
@@ -203,18 +197,14 @@ fn json_point(p: &Point) -> String {
     )
 }
 
-/// The whole `BENCH_kernel.json` document. Schema `restune-kernel-bench-v2`
-/// — a strict superset of v1 plus the lane-pack suite measurement. CI
-/// validates exactly these keys, so extend rather than rename.
-fn json_document(mode: &str, points: &[Point], suite: (&Point, &Point, &Point)) -> String {
-    let (fused, reference, lanes) = suite;
+/// The whole `BENCH_kernel.json` document, schema `restune-kernel-bench-v3`.
+/// CI validates exactly these keys.
+fn json_document(mode: &str, points: &[Point], fused: &Point, reference: &Point) -> String {
     let speedup = fused.cycles_per_second() / reference.cycles_per_second();
-    let lanes_vs_fused = lanes.cycles_per_second() / fused.cycles_per_second();
-    let lanes_vs_reference = lanes.cycles_per_second() / reference.cycles_per_second();
     let rows: Vec<String> = points.iter().map(json_point).collect();
     format!(
-        "{{\n  \"schema\": \"restune-kernel-bench-v2\",\n  \"mode\": \"{mode}\",\n  \
-         \"batch_size\": {batch},\n  \"lane_width\": {width},\n  \
+        "{{\n  \"schema\": \"restune-kernel-bench-v3\",\n  \"mode\": \"{mode}\",\n  \
+         \"batch_size\": {batch},\n  \
          \"benchmarks\": [\n{rows}\n  ],\n  \
          \"table3_suite\": {{\n    \"apps\": {apps},\n    \
          \"instructions_per_app\": {instr},\n    \
@@ -222,14 +212,8 @@ fn json_document(mode: &str, points: &[Point], suite: (&Point, &Point, &Point)) 
          \"fused_cycles_per_second\": {fc},\n    \
          \"reference_wall_seconds\": {rw},\n    \
          \"reference_cycles_per_second\": {rc},\n    \
-         \"lanes_wall_seconds\": {lw},\n    \
-         \"lanes_cycles_per_second\": {lc},\n    \
-         \"lane_width\": {width},\n    \
-         \"speedup_cycles_per_second\": {sp},\n    \
-         \"speedup_lanes_vs_fused\": {slf},\n    \
-         \"speedup_lanes_vs_reference\": {slr}\n  }}\n}}\n",
-        batch = restune::kernel::batch_size(),
-        width = lane_count(),
+         \"speedup_cycles_per_second\": {sp}\n  }}\n}}\n",
+        batch = restune::kernel::FLUSH_BATCH,
         rows = rows.join(",\n"),
         apps = fused.runs / 2,
         instr = fused.instructions_per_run,
@@ -237,11 +221,7 @@ fn json_document(mode: &str, points: &[Point], suite: (&Point, &Point, &Point)) 
         fc = json_f64(fused.cycles_per_second()),
         rw = json_f64(reference.wall_seconds),
         rc = json_f64(reference.cycles_per_second()),
-        lw = json_f64(lanes.wall_seconds),
-        lc = json_f64(lanes.cycles_per_second()),
         sp = json_f64(speedup),
-        slf = json_f64(lanes_vs_fused),
-        slr = json_f64(lanes_vs_reference),
     )
 }
 
@@ -287,58 +267,27 @@ fn main() {
     }
     g.finish();
 
-    // The suite: the lane pack packs same-config runs, so it executes the
-    // suite as two lane groups (every app under Base, then every app under
-    // Tuning) — the same work the per-run paths do run-by-run. All three
-    // paths run single-threaded in this process; the engine parallelizes
-    // packs across workers, but that is a scheduling concern this kernel
-    // benchmark deliberately excludes.
+    // The suite runs single-threaded in this process on both paths; the
+    // engine spreads runs across its worker pool, but that is a scheduling
+    // concern this kernel benchmark deliberately excludes.
     let suite = table3_suite(apps);
-    let profiles: Vec<WorkloadProfile> = spec2k::all().into_iter().take(apps).collect();
-    let techniques = [
-        Technique::Base,
-        Technique::Tuning(TuningConfig::isca04_table1(100)),
-    ];
-    let lane_width = lane_count();
     let fused_runner = || run_set(&suite, &sim_suite, EnginePath::Fused);
     let reference_runner = || run_set(&suite, &sim_suite, EnginePath::Reference);
-    let lanes_runner = || {
-        techniques
-            .iter()
-            .map(|t| {
-                run_suite_lanes(&profiles, t, &sim_suite, lane_width)
-                    .iter()
-                    .map(|r| r.cycles)
-                    .sum::<u64>()
-            })
-            .sum()
-    };
     let suite_points = measure_alternating(
         "table3_suite",
         sim_suite.instructions,
         suite.len(),
         rounds,
-        &[
-            ("fused", &fused_runner),
-            ("reference", &reference_runner),
-            ("lanes", &lanes_runner),
-        ],
+        &[("fused", &fused_runner), ("reference", &reference_runner)],
     );
-    let [fused, reference, lanes]: [Point; 3] = suite_points
+    let [fused, reference]: [Point; 2] = suite_points
         .try_into()
-        .unwrap_or_else(|_| unreachable!("three suite runners produce three points"));
-    assert_eq!(
-        fused.cycles, lanes.cycles,
-        "lane pack must simulate exactly the suite's cycles"
-    );
+        .unwrap_or_else(|_| unreachable!("two suite runners produce two points"));
 
     let speedup = fused.cycles_per_second() / reference.cycles_per_second();
-    let lanes_vs_fused = lanes.cycles_per_second() / fused.cycles_per_second();
-    let lanes_vs_reference = lanes.cycles_per_second() / reference.cycles_per_second();
-    let doc = json_document(mode, &points, (&fused, &reference, &lanes));
+    let doc = json_document(mode, &points, &fused, &reference);
     points.push(fused);
     points.push(reference);
-    points.push(lanes);
     let out = output_path();
     std::fs::write(&out, doc).expect("write BENCH_kernel.json");
 
@@ -355,15 +304,10 @@ fn main() {
         );
     }
     println!(
-        "table3 suite speedup: fused vs reference {speedup:.2}x, \
-         lanes (width {lane_width}) vs fused {lanes_vs_fused:.2}x, \
-         lanes vs reference {lanes_vs_reference:.2}x — wrote {}",
+        "table3 suite speedup: fused vs reference {speedup:.2}x — wrote {}",
         out.display()
     );
     if mode == "full" && speedup < 2.0 {
         eprintln!("WARNING: table3 suite fused speedup below the 2x target");
-    }
-    if mode == "full" && lanes_vs_fused < 1.8 {
-        eprintln!("WARNING: table3 suite lane-pack speedup below the 1.8x target");
     }
 }

@@ -74,7 +74,7 @@ impl PipelineDamping {
         assert!(config.window > 0, "damping window must be nonzero");
         Self {
             recent: VecDeque::with_capacity(SMOOTH + 1),
-            history: VecDeque::with_capacity(config.window as usize + 1),
+            history: VecDeque::with_capacity(super::reserved_slots(config.window)),
             config,
             throttled_cycles: 0,
             padded_cycles: 0,

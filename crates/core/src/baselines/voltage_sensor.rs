@@ -86,7 +86,9 @@ impl VoltageSensor {
         );
         Self {
             rng: StdRng::seed_from_u64(config.noise_seed),
-            delay_line: std::collections::VecDeque::with_capacity(config.delay_cycles as usize + 1),
+            delay_line: std::collections::VecDeque::with_capacity(super::reserved_slots(
+                config.delay_cycles,
+            )),
             config,
             response: SensorResponse::None,
             response_remaining: 0,

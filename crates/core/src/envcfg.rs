@@ -1,11 +1,15 @@
-//! Shared parsing for the `RESTUNE_*` tuning knobs.
+//! Shared parsing for the numeric `RESTUNE_*` tuning knobs.
 //!
-//! `RESTUNE_WORKERS`, `RESTUNE_BATCH`, and `RESTUNE_LANES` all follow the
-//! same contract: a positive integer is honored, anything else warns once
-//! per knob on stderr (through [`crate::obs::warn`], so the warning also
-//! lands in the trace stream and warn counters) and falls back to the
-//! knob's default. [`positive_usize`] is that contract in one place; the
-//! callers keep their own defaults, clamps, and warn categories.
+//! The integer knobs (`RESTUNE_WORKERS`, `RESTUNE_SERVER_QUEUE`,
+//! `RESTUNE_SERVER_CLIENTS`, `RESTUNE_BACKOFF_CAP_MS`,
+//! `RESTUNE_STORE_MAX_BYTES`) and the seconds knobs
+//! (`RESTUNE_SERVER_DEADLINE`, `RESTUNE_HEARTBEAT_SECS`,
+//! `RESTUNE_CKPT_MAX_AGE_SECS`, `RESTUNE_STORE_MAX_AGE_SECS`) all follow the
+//! same contract: a positive value is honored, anything else warns once per
+//! knob on stderr (through [`crate::obs::warn`], so the warning also lands
+//! in the trace stream and warn counters) and falls back to the knob's
+//! default. [`positive_usize`] and [`positive_f64`] are that contract in one
+//! place; the callers keep their own defaults, clamps, and warn categories.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};

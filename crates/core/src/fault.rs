@@ -513,7 +513,7 @@ impl FaultRuntime {
                 }
                 FaultSpec::SensorDelay { cycles } => {
                     runtime.delay = Some(DelayState {
-                        buffer: VecDeque::with_capacity(cycles as usize + 1),
+                        buffer: VecDeque::with_capacity(crate::baselines::reserved_slots(cycles)),
                         cycles: cycles as usize,
                     });
                 }

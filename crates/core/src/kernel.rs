@@ -8,14 +8,14 @@
 //! * the base machine reads nothing back, pipeline damping reads only the
 //!   previous cycle's pipeline events, and resonance tuning reads only the
 //!   previous cycle's *current* — none of them observe the supply voltage.
-//!   For these lanes the kernel runs controller/CPU/power serially while
-//!   accumulating per-cycle current into a flat `f64` buffer, then flushes
-//!   whole batches through [`PowerSupply::try_tick_batch`], whose step size
-//!   and circuit coefficients are prepared once per flush
+//!   For these techniques the kernel runs controller/CPU/power serially
+//!   while accumulating per-cycle current into a flat `f64` buffer, then
+//!   flushes whole batches through [`PowerSupply::try_tick_batch`], whose
+//!   step size and circuit coefficients are prepared once per flush
 //!   ([`rlc::PreparedStep`]);
 //! * the voltage-sensor technique feeds the supply voltage back into the
-//!   next cycle's controller decision, so its lane flushes every cycle —
-//!   the same code path, with a batch of one.
+//!   next cycle's controller decision, so it flushes every cycle — the
+//!   same code path, with a batch of one.
 //!
 //! Batches are rescheduling, not approximation: every stage runs the same
 //! operations on the same values in the same order as the reference loop,
@@ -25,12 +25,10 @@
 //! [`workloads::shared_stream`], and the CPU uses the event-driven
 //! scheduler ([`cpusim::ScanMode::Event`]).
 //!
-//! The batch length comes from `RESTUNE_BATCH` (default
-//! [`DEFAULT_BATCH`]) and is deliberately *not* part of [`SimConfig`]: it
-//! cannot change results, so it must not enter checkpoint or baseline
-//! fingerprints — a suite checkpointed at one batch size resumes bit-exactly
-//! at another. `RESTUNE_KERNEL=off` routes runs through the reference loop
-//! instead.
+//! The batch length is the constant [`FLUSH_BATCH`]. It cannot change
+//! results ([`run_with_batch`] and the batch-invariance property tests pin
+//! that), so it is part of no [`SimConfig`] and no fingerprint.
+//! `RESTUNE_KERNEL=off` routes runs through the reference loop instead.
 
 use std::time::Instant;
 
@@ -46,28 +44,12 @@ use crate::sim::{
     SimResult, Technique, WATCHDOG_CHECK_MASK,
 };
 
-/// Cycles per supply flush when `RESTUNE_BATCH` is unset.
-pub const DEFAULT_BATCH: usize = 1024;
+/// Cycles per supply flush (the sensor technique flushes every cycle).
+pub const FLUSH_BATCH: usize = 1024;
 
-/// Batch lengths are clamped to this to keep flush buffers bounded.
+/// [`run_with_batch`] clamps its batch to this to keep flush buffers
+/// bounded.
 const MAX_BATCH: usize = 1 << 20;
-
-/// The kernel's supply-flush batch length: `RESTUNE_BATCH` cycles when set
-/// to a positive integer, [`DEFAULT_BATCH`] otherwise. Read per run so tests
-/// can vary it; never fingerprinted (it cannot affect results).
-///
-/// A non-numeric or zero value is rejected with a once-per-process stderr
-/// warning and falls back to the default — the shared `RESTUNE_*` knob
-/// contract of [`crate::envcfg`].
-pub fn batch_size() -> usize {
-    crate::envcfg::positive_usize(
-        "RESTUNE_BATCH",
-        "kernel",
-        &format!("the default batch of {DEFAULT_BATCH}"),
-    )
-    .map(|n| n.min(MAX_BATCH))
-    .unwrap_or(DEFAULT_BATCH)
-}
 
 /// `false` when `RESTUNE_KERNEL` is `off`/`0` — the escape hatch that
 /// routes all runs through the per-cycle reference loop.
@@ -105,7 +87,7 @@ pub fn run_on_path(
                 profile,
                 technique,
                 sim,
-                batch_size(),
+                FLUSH_BATCH,
                 |_| {},
                 None,
                 &mut faults,
@@ -121,7 +103,7 @@ pub fn run_on_path(
 }
 
 /// Runs one application through the fused kernel with an explicit supply
-/// flush batch length, ignoring `RESTUNE_BATCH` — the hook the
+/// flush batch length instead of [`FLUSH_BATCH`] — the hook the
 /// batch-invariance property tests use. Returns the outcome and the
 /// detector-event total, both of which must be identical for every `batch`.
 pub fn run_with_batch(
@@ -274,16 +256,25 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
             cycles += 1;
         }
 
-        // Flush: one batched supply pass over the accumulated currents.
-        // The raw flush duration is accumulated undivided; report time
-        // scales the total down by SAMPLE_INTERVAL — the batch analogue of
-        // timing every 64th cycle, without the per-flush truncation that
-        // zeroes out sub-64ns flushes (every flush, for the sensor lane).
+        // Flush: one batched supply pass over the accumulated currents. A
+        // multi-cycle flush is timed whole into `supply_flush`, which report
+        // time scales down by SAMPLE_INTERVAL — the batch analogue of timing
+        // every 64th cycle. A one-cycle flush is a single supply step, so it
+        // is timed like the reference loop's: on sampled cycles only, into
+        // `supply`; reading the clock around every one of them would cost
+        // more than the step.
         noises.clear();
-        let t0 = timers.as_deref_mut().map(|_| Instant::now());
+        let one_cycle = flush_every == 1;
+        let timed = timers.is_some()
+            && (!one_cycle || base_cycle.is_multiple_of(PhaseTimings::SAMPLE_INTERVAL));
+        let t0 = timed.then(Instant::now);
         let flushed = supply.try_tick_batch(&currents, &mut noises);
         if let (Some(t0), Some(acc)) = (t0, timers.as_deref_mut()) {
-            acc.supply_flush += t0.elapsed();
+            if one_cycle {
+                acc.supply += t0.elapsed();
+            } else {
+                acc.supply_flush += t0.elapsed();
+            }
         }
         let completed = match &flushed {
             Ok(()) => pending.len(),
@@ -352,26 +343,5 @@ mod tests {
     #[test]
     fn fused_matches_reference_for_damping() {
         paths_agree(Technique::Damping(DampingConfig::isca04_table5(0.5)));
-    }
-
-    #[test]
-    fn batch_size_defaults_and_parses() {
-        use crate::testenv::with_env;
-        // Positive integers are honored (clamped to the bound), everything
-        // else warns once and falls back to the default — the same contract
-        // as RESTUNE_WORKERS.
-        let cases: [(Option<&str>, usize); 7] = [
-            (None, DEFAULT_BATCH),
-            (Some("7"), 7),
-            (Some(" 512 "), 512),
-            (Some("9999999999"), MAX_BATCH),
-            (Some("0"), DEFAULT_BATCH),
-            (Some("huge"), DEFAULT_BATCH),
-            (Some("-1"), DEFAULT_BATCH),
-        ];
-        for (value, expected) in cases {
-            let got = with_env(&[("RESTUNE_BATCH", value)], batch_size);
-            assert_eq!(got, expected, "RESTUNE_BATCH={value:?}");
-        }
     }
 }

@@ -65,7 +65,6 @@ pub mod experiment;
 pub mod fault;
 pub mod isolation;
 pub mod kernel;
-pub mod lanes;
 pub mod mesh;
 pub mod metrics;
 pub mod obs;
@@ -94,7 +93,6 @@ pub use isolation::{
     install_signal_handlers, isolation_mode, maybe_run_worker, shutdown_requested, IsolationMode,
 };
 pub use kernel::{run_on_path, run_with_batch, EnginePath};
-pub use lanes::{lane_count, run_suite_lanes, DEFAULT_LANES};
 pub use mesh::{job_shard, partition_host, rendezvous_order, shard_keys, ChaosConductor, Mesh};
 pub use metrics::{RelativeOutcome, RunMetrics, Summary};
 pub use obs::{CycleTracer, Event, JsonValue, TraceBuffer, TraceSink};

@@ -186,7 +186,8 @@ impl Controller {
 /// Wall-time attribution of the simulation loop's four stages (controller →
 /// CPU → power model → supply), sampled every
 /// [`PhaseTimings::SAMPLE_INTERVAL`] cycles so instrumented runs stay within
-/// a few percent of uninstrumented speed.
+/// a few percent of uninstrumented speed: the clock is read only on sampled
+/// cycles and around whole multi-cycle supply flushes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Time in the noise controller (detector + response selection).
@@ -195,15 +196,15 @@ pub struct PhaseTimings {
     pub cpu: Duration,
     /// Time in the Wattch-style power model.
     pub power: Duration,
-    /// Time in the RLC supply integration (per-cycle sampled form, used by
-    /// the reference loop).
+    /// Time in the RLC supply integration, per sampled cycle: the reference
+    /// loop's supply step, or the fused kernel's one-cycle flush (the
+    /// sensor technique, which flushes every cycle).
     pub supply: Duration,
-    /// Raw (unsampled) wall time of the fused kernel's batched supply
-    /// flushes. Accumulated undivided and scaled down by
-    /// [`PhaseTimings::SAMPLE_INTERVAL`] only at report time: dividing each
-    /// flush's `elapsed()` individually truncates to whole nanoseconds per
-    /// flush, which for every-cycle-flush runs (the sensor technique)
-    /// rounds most flushes to zero and undercounts the supply phase.
+    /// Raw (unsampled) wall time of the fused kernel's multi-cycle supply
+    /// flushes. A flush spans sampled and unsampled cycles alike, so each
+    /// is timed whole and the total is scaled down by
+    /// [`PhaseTimings::SAMPLE_INTERVAL`] only at report time
+    /// ([`PhaseTimings::supply_sampled`]).
     pub supply_flush: Duration,
     /// How many cycles were sampled (each contributes to all four phases).
     pub sampled_cycles: u64,
@@ -213,10 +214,9 @@ impl PhaseTimings {
     /// One cycle in this many is timed; the rest run unobserved.
     pub const SAMPLE_INTERVAL: u64 = 64;
 
-    /// The supply phase's sampled-equivalent time: the reference loop's
-    /// per-cycle samples plus the kernel's flush total scaled down by the
-    /// sampling ratio (one division over the accumulated sum, not one per
-    /// flush).
+    /// The supply phase's sampled-equivalent time: the per-cycle samples
+    /// plus the multi-cycle flush total scaled down by the sampling ratio
+    /// (one division over the accumulated sum, not one per flush).
     pub fn supply_sampled(&self) -> Duration {
         self.supply + self.supply_flush / Self::SAMPLE_INTERVAL as u32
     }
@@ -324,7 +324,7 @@ fn run_core<F: FnMut(&CycleRecord)>(
             profile,
             technique,
             sim,
-            crate::kernel::batch_size(),
+            crate::kernel::FLUSH_BATCH,
             observer,
             timers,
             faults,
@@ -729,6 +729,30 @@ mod tests {
     }
 
     #[test]
+    fn one_cycle_flushes_are_timed_on_sampled_cycles_only() {
+        let p = spec2k::by_name("swim").unwrap();
+        let sim = SimConfig::isca04(20_000);
+        let sensor = Technique::Sensor(SensorConfig::table4(20.0, 10.0, 5));
+        let inst = run_instrumented(&p, &sensor, &sim);
+        assert_eq!(
+            inst.phases.supply_flush,
+            Duration::ZERO,
+            "the sensor's one-cycle flushes are not timed whole"
+        );
+        assert!(inst.phases.supply > Duration::ZERO, "sampled flushes count");
+        assert_eq!(
+            inst.phases.sampled_cycles,
+            inst.result.cycles.div_ceil(PhaseTimings::SAMPLE_INTERVAL)
+        );
+        let tuning = Technique::Tuning(TuningConfig::isca04_table1(100));
+        let inst = run_instrumented(&p, &tuning, &sim);
+        assert!(
+            inst.phases.supply_flush > Duration::ZERO,
+            "batched flushes keep their whole-flush timing"
+        );
+    }
+
+    #[test]
     fn instrumented_tuning_run_reports_detector_events() {
         let p = spec2k::by_name("swim").unwrap();
         let sim = SimConfig::isca04(150_000);
@@ -806,6 +830,24 @@ mod tests {
             faulted.result, clean,
             "heavy detector noise must change the tuning run"
         );
+    }
+
+    #[test]
+    fn huge_delays_and_windows_run_without_reserving_them_up_front() {
+        use crate::fault::FaultSpec;
+        let p = spec2k::by_name("gzip").unwrap();
+        let sim = SimConfig::isca04(2_000);
+        let sensor = Technique::Sensor(SensorConfig::table4(20.0, 10.0, u32::MAX));
+        let damping = Technique::Damping(DampingConfig {
+            window: u32::MAX,
+            ..DampingConfig::isca04_table5(1.0)
+        });
+        for technique in [&sensor, &damping] {
+            assert!(run(&p, technique, &sim).committed >= 2_000);
+        }
+        let delayed = [FaultSpec::SensorDelay { cycles: u32::MAX }];
+        let inst = run_supervised(&p, &sensor, &sim, &delayed, None);
+        assert!(inst.result.committed >= 2_000);
     }
 
     #[test]

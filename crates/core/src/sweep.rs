@@ -13,7 +13,7 @@
 //!
 //! Execution routes through [`run_suite_supervised`], so sweeps inherit
 //! the whole supervision stack — watchdogs, retries, checkpoint/resume
-//! (an interrupted sweep resumes bit-identically), lane parallelism, and
+//! (an interrupted sweep resumes bit-identically), the worker pool, and
 //! `--connect` mesh offload — without any sweep-specific scheduling. Each
 //! (class, PDN) group finally reports its Pareto frontier over (violation
 //! cycles, slowdown, energy-delay); because every execution path is
@@ -379,8 +379,9 @@ impl GridSpec {
     /// # Errors
     ///
     /// Returns a one-line description of the first malformed pair — an
-    /// unknown key, an unparseable value, or a PDN scale that produces an
-    /// invalid (non-underdamped) supply network.
+    /// unknown key, an unparseable value, a PDN scale that produces an
+    /// invalid (non-underdamped) supply network, or a sensor point with
+    /// negative noise or a non-positive actual threshold.
     pub fn parse(
         pairs: &[(String, String)],
         default_instructions: u64,
@@ -508,8 +509,21 @@ fn parse_sensor_point(raw: &str) -> Result<SensorPoint, String> {
             noise_mv,
             delay,
         })
-    })();
-    point.ok_or_else(|| format!("invalid sensor point '{raw}' (expected THR_MV:NOISE_MV:DELAY)"))
+    })()
+    .ok_or_else(|| format!("invalid sensor point '{raw}' (expected THR_MV:NOISE_MV:DELAY)"))?;
+    // Validate eagerly, like a PDN scale: negative noise has no meaning, and
+    // a non-positive actual threshold would make `VoltageSensor::new` panic
+    // in every run of the point, after the sweep's other suites have run.
+    let actual = SensorConfig::table4(point.threshold_mv, point.noise_mv, point.delay)
+        .actual_threshold()
+        .volts();
+    if point.noise_mv < 0.0 || actual <= 0.0 {
+        return Err(format!(
+            "invalid sensor point '{raw}' (need NOISE_MV >= 0 and a positive actual \
+             threshold THR_MV - NOISE_MV/2)"
+        ));
+    }
+    Ok(point)
 }
 
 /// The machine configuration for one PDN scale: scale 1.0 is *exactly*
@@ -589,8 +603,8 @@ impl SweepOutcome {
 
 /// Expands `spec` and executes every point, sharing individual runs
 /// through `store` and supervising suites with `policy` (so `--resume`
-/// checkpointing, watchdogs, fault plans, lanes, and `--connect` all
-/// apply). Emits `sweep-start` / `sweep-point` / `frontier-point` /
+/// checkpointing, watchdogs, fault plans, the worker pool, and `--connect`
+/// all apply). Emits `sweep-start` / `sweep-point` / `frontier-point` /
 /// `sweep-end` trace events and finishes with a store eviction pass.
 ///
 /// When the policy's fault plan carries result-perturbing faults the store
@@ -822,6 +836,9 @@ mod tests {
             ("pdn", "0.0001"), // breaks the underdamped invariant
             ("tuning", "0"),
             ("sensor", "10:2.5"),
+            ("sensor", "-5:0:0"),  // threshold below zero
+            ("sensor", "20:50:0"), // noise swallows the threshold
+            ("sensor", "20:-1:0"), // negative noise
             ("instructions", "0"),
             ("orientation", "sideways"),
             ("pdn", ""),

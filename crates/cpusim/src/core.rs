@@ -179,39 +179,6 @@ impl<S: InstructionStream> Cpu<S> {
         }
     }
 
-    /// Re-arms this core for a fresh run reading from `stream`, restoring
-    /// the cache hierarchy from `warmed` (typically a pre-warmed image
-    /// shared across the runs of a suite, so each run skips the warm-up
-    /// walk). After this call the core's observable state is identical to
-    /// `Cpu::with_scan_mode(self.config, stream, self.scan_mode())` with
-    /// its caches overwritten by `warmed` — but the window, buffers, and
-    /// event lists keep their allocations, so re-arming is cheap enough to
-    /// run once per packed lane run.
-    pub fn reuse(&mut self, stream: S, warmed: &CacheHierarchy) {
-        self.stream = stream;
-        self.caches.clone_from(warmed);
-        self.miss_tracker = self.config.memory_system.map(MissTracker::new);
-        self.predictor = match self.config.branch_model {
-            BranchModel::Profile => None,
-            BranchModel::Predictor { kind, entries } => Some(BranchPredictor::new(kind, entries)),
-        };
-        self.rob.clear();
-        self.fetch_buffer.clear();
-        self.replay.clear();
-        self.redirect_stall = 0;
-        self.ifetch_stall = 0;
-        self.int_div_busy_until = 0;
-        self.fp_div_busy_until = 0;
-        self.lsq_occupancy = 0;
-        self.next_seq = 0;
-        self.cycle = 0;
-        self.stats = RunStats::default();
-        self.ready.clear();
-        self.executing.clear();
-        self.issue_scratch.clear();
-        self.completing_scratch.clear();
-    }
-
     /// The scheduling strategy this core was built with.
     pub fn scan_mode(&self) -> ScanMode {
         self.scan

@@ -45,7 +45,7 @@ pub mod model;
 pub mod spread;
 
 pub use config::{PowerConfig, StructureWeights};
-pub use energy::{EnergyMeter, LaneMeters, RelativeCost};
+pub use energy::{EnergyMeter, RelativeCost};
 pub use gating::GatingStyle;
 pub use model::{CurrentBreakdown, PowerModel};
 pub use spread::ActivitySpreader;

@@ -212,13 +212,6 @@ impl PreparedStep {
         Ok(full)
     }
 
-    /// The coefficients as loaded: `(method, h, c, l, r)`. For the lane
-    /// integrator, which shares one prepared step across lanes of the same
-    /// circuit and inlines the success-path arithmetic itself.
-    pub(crate) fn parts(&self) -> (Method, f64, f64, f64, f64) {
-        (self.method, self.h, self.c, self.l, self.r)
-    }
-
     fn raw(&self, state: SupplyState, i_start: f64, i_end: f64, h: f64) -> SupplyState {
         raw_step_coeffs(
             self.c,
@@ -233,7 +226,7 @@ impl PreparedStep {
     }
 }
 
-pub(crate) fn check_state(s: SupplyState) -> Result<(), IntegrationError> {
+fn check_state(s: SupplyState) -> Result<(), IntegrationError> {
     if !s.v.is_finite() || !s.i_l.is_finite() {
         return Err(IntegrationError::NonFiniteState { v: s.v, i_l: s.i_l });
     }
@@ -269,7 +262,7 @@ fn raw_step(
 
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub(crate) fn raw_step_coeffs(
+fn raw_step_coeffs(
     c: f64,
     l: f64,
     r: f64,

@@ -41,7 +41,6 @@ pub mod error;
 pub mod fit;
 pub mod impedance;
 pub mod integrator;
-pub mod lanes;
 pub mod params;
 pub mod spectrum;
 pub mod supply;
@@ -56,7 +55,6 @@ pub use impedance::{impedance_at, ImpedancePoint, ImpedanceSweep};
 pub use integrator::{
     exact_free_decay, step, try_step, Method, PreparedStep, SupplyState, BLOW_UP_LIMIT_VOLTS,
 };
-pub use lanes::{LaneFault, SupplyLanes, MAX_LANES};
 pub use params::SupplyParams;
 pub use spectrum::{band_power, power_at, resonance_band_ratio};
 pub use supply::{

@@ -1,6 +1,6 @@
 //! A process-wide store of decoded instruction traces, so the many runs of
-//! an experiment suite that execute the same application — base and
-//! technique lanes of a comparison, retries, sweep points — share one
+//! an experiment suite that execute the same application — the base and
+//! technique runs of a comparison, retries, sweep points — share one
 //! workload-stream decode pass instead of each re-running the generator.
 //!
 //! [`StreamGen`] is deterministic: the instruction at index *k* is a pure
@@ -143,7 +143,7 @@ mod tests {
         let profile = spec2k::by_name("mesa").unwrap();
         let a = shared_stream(&profile, 1_000);
         let b = shared_stream(&profile, 1_000);
-        assert!(Arc::ptr_eq(&a.prefix, &b.prefix), "one decode, two lanes");
+        assert!(Arc::ptr_eq(&a.prefix, &b.prefix), "one decode, two runs");
         // And both replay identically from the start.
         let (mut a, mut b) = (a, b);
         for _ in 0..5_000 {

@@ -64,15 +64,12 @@ fn scheduler_is_deterministic_under_techniques_too() {
 #[test]
 fn one_worker_pool_matches_wide_pool() {
     // RESTUNE_WORKERS is read per suite call, so pin it for a narrow run.
-    // (Env mutation is process-wide; restore promptly and tolerate the
-    // variable being observed by a concurrent suite — determinism means the
-    // results cannot differ either way.)
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
     let wide = run_suite(&profiles, &Technique::Base, &sim);
-    std::env::set_var("RESTUNE_WORKERS", "1");
-    let narrow = run_suite(&profiles, &Technique::Base, &sim);
-    std::env::remove_var("RESTUNE_WORKERS");
+    let narrow = restune::testenv::with_env(&[("RESTUNE_WORKERS", Some("1"))], || {
+        run_suite(&profiles, &Technique::Base, &sim)
+    });
     assert_eq!(wide, narrow, "pool width must not affect results");
 }
 
