@@ -164,33 +164,52 @@ print(f"trace ok: {len(lines)} events, {len(windows)} waveform windows")
 EOF
 
 echo "==> kernel bench smoke (--test mode + BENCH_kernel.json schema)"
-# The kernel bench in --test mode runs each benchmark body once on shrunk
-# workloads and still writes its JSON document (to a scratch path here, so
-# the committed full-scale BENCH_kernel.json is not overwritten). The
-# validator guards the schema only — numbers vary by machine, the shape
-# must not.
+# The kernel bench in --test mode runs a few alternated passes per row on
+# shrunk workloads and still writes its JSON document (to a scratch path
+# here, so the committed full-scale BENCH_kernel.json is not overwritten).
+# The validator guards the schema and the internal consistency of every
+# median and its quartiles — numbers vary by machine, the shape must not.
 smoke_json="$(mktemp -d)/BENCH_kernel.json"
 RESTUNE_BENCH_OUT="$smoke_json" cargo bench -q --bench kernel --offline -- --test
 python3 - "$smoke_json" BENCH_kernel.json <<'EOF'
 import json, sys
+def spread_ok(where, q1, median, q3):
+    assert q1 <= median <= q3, f"{where}: quartiles out of order: {q1} {median} {q3}"
 for path in sys.argv[1:]:
     with open(path) as f:
         doc = json.load(f)
-    assert doc.get("schema") == "restune-kernel-bench-v3", \
+    assert doc.get("schema") == "restune-kernel-bench-v4", \
         f"{path}: schema drift: {doc.get('schema')!r}"
     for key in ("mode", "batch_size", "benchmarks", "table3_suite"):
         assert key in doc, f"{path}: missing top-level key {key!r}"
     assert doc["benchmarks"], f"{path}: no benchmark rows"
     for row in doc["benchmarks"]:
         for key in ("name", "path", "instructions_per_run", "runs", "cycles",
-                    "wall_seconds", "ns_per_cycle", "cycles_per_second"):
+                    "passes", "wall_seconds", "wall_seconds_q1", "wall_seconds_q3",
+                    "ns_per_cycle", "cycles_per_second",
+                    "cycles_per_second_q1", "cycles_per_second_q3"):
             assert key in row, f"{path}: benchmark row missing {key!r}"
+        where = f"{path}: {row['name']}/{row['path']}"
+        spread_ok(where + " wall", row["wall_seconds_q1"], row["wall_seconds"],
+                  row["wall_seconds_q3"])
+        spread_ok(where + " rate", row["cycles_per_second_q1"],
+                  row["cycles_per_second"], row["cycles_per_second_q3"])
+        if doc["mode"] == "full":
+            assert row["passes"] >= 11, f"{where}: {row['passes']} passes, need >= 11"
     suite = doc["table3_suite"]
-    for key in ("apps", "instructions_per_app",
+    for key in ("apps", "instructions_per_app", "passes",
                 "fused_wall_seconds", "fused_cycles_per_second",
+                "fused_cycles_per_second_q1", "fused_cycles_per_second_q3",
                 "reference_wall_seconds", "reference_cycles_per_second",
+                "reference_cycles_per_second_q1", "reference_cycles_per_second_q3",
                 "speedup_cycles_per_second"):
         assert key in suite, f"{path}: table3_suite missing {key!r}"
+    for side in ("fused", "reference"):
+        spread_ok(f"{path}: table3_suite {side}", suite[f"{side}_cycles_per_second_q1"],
+                  suite[f"{side}_cycles_per_second"], suite[f"{side}_cycles_per_second_q3"])
+    speedup = suite["fused_cycles_per_second"] / suite["reference_cycles_per_second"]
+    assert abs(speedup - suite["speedup_cycles_per_second"]) <= 1e-9 * speedup, \
+        f"{path}: the suite speedup is not the ratio of the medians"
     print(f"{path}: schema ok ({doc['mode']} mode)")
 EOF
 

@@ -8,33 +8,40 @@
 //!   cycles/second;
 //! * **table3 suite** — the Table 3 workload shape (every SPEC2K app under
 //!   the base machine and the 100-cycle tuning point), reported as suite
-//!   wall time and aggregate cycles/second, with the two paths' passes
-//!   *alternated* round-robin rather than timed back-to-back, so slow VM
-//!   drift hits both equally instead of biasing whichever ran last.
+//!   wall time and aggregate cycles/second.
 //!
-//! Besides the criterion output, the harness writes a machine-readable
-//! `BENCH_kernel.json` (at the repository root, or wherever
-//! `RESTUNE_BENCH_OUT` points) with every measurement and the fused-vs-
-//! reference suite speedup. Under `--test` the benchmark bodies run once on
-//! shrunk workloads and the JSON is still produced from a single timed
-//! pass, so CI can validate the schema cheaply.
+//! Every row is measured the same way: one untimed warm-up pass per path
+//! (which also fixes the deterministic cycle count), then [`FULL_ROUNDS`]
+//! rounds that each time one pass of both paths, fused first on even
+//! rounds and reference first on odd ones, so slow host drift hits both
+//! paths equally. A row reports the median and the quartiles of its
+//! passes, and the suite speedup is the ratio of the two medians: a
+//! change to a row reads as real only when it clears the row's spread.
+//!
+//! The harness writes a machine-readable `BENCH_kernel.json` (at the
+//! repository root, or wherever `RESTUNE_BENCH_OUT` points) with every
+//! measurement. Under `--test` the rows run [`SMOKE_ROUNDS`] rounds on
+//! shrunk workloads and the JSON is still produced, so CI can validate the
+//! schema cheaply.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::{black_box, BenchmarkGroup, Criterion, Throughput};
 use restune::{run_on_path, EnginePath, SimConfig, Technique, TuningConfig};
 use workloads::{spec2k, WorkloadProfile};
 
 /// Instructions per run at full measurement scale.
 const FULL_SINGLE: u64 = 40_000;
 const FULL_SUITE: u64 = 20_000;
-/// Alternating suite passes per path at full measurement scale.
-const FULL_ROUNDS: usize = 5;
+/// Timed passes per path and row at full measurement scale.
+const FULL_ROUNDS: usize = 11;
 /// Instructions per run in `--test` (smoke) mode.
 const SMOKE_SINGLE: u64 = 2_000;
 const SMOKE_SUITE: u64 = 1_000;
 /// Apps in the smoke-mode suite (full mode uses all of SPEC2K).
 const SMOKE_APPS: usize = 6;
+/// Timed passes per path and row in `--test` (smoke) mode.
+const SMOKE_ROUNDS: usize = 3;
 
 /// One (application, technique) run of a benchmark's workload set.
 struct RunSpec {
@@ -42,23 +49,56 @@ struct RunSpec {
     technique: Technique,
 }
 
-/// One benchmark point, fully measured: a workload set on one engine path.
+/// The median and quartiles of a set of samples.
+#[derive(Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// Quartiles by linear interpolation between order statistics (the
+    /// sample at fractional rank `p·(n−1)`).
+    fn of(samples: &[f64]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let at = |p: f64| {
+            let rank = p * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+        };
+        Self {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+}
+
+/// One benchmark row, fully measured: a workload set on one engine path.
 struct Point {
     name: &'static str,
     path: &'static str,
     instructions_per_run: u64,
     runs: usize,
     cycles: u64,
-    wall_seconds: f64,
+    /// Wall time of every timed pass, in seconds.
+    walls: Vec<f64>,
 }
 
 impl Point {
-    fn cycles_per_second(&self) -> f64 {
-        self.cycles as f64 / self.wall_seconds
+    fn wall(&self) -> Spread {
+        Spread::of(&self.walls)
+    }
+
+    fn cycles_per_second(&self) -> Spread {
+        let rates: Vec<f64> = self.walls.iter().map(|w| self.cycles as f64 / w).collect();
+        Spread::of(&rates)
     }
 
     fn ns_per_cycle(&self) -> f64 {
-        self.wall_seconds * 1e9 / self.cycles as f64
+        self.wall().median * 1e9 / self.cycles as f64
     }
 }
 
@@ -76,75 +116,36 @@ fn run_set(set: &[RunSpec], sim: &SimConfig, path: EnginePath) -> u64 {
         .sum()
 }
 
-/// Benchmarks one workload set on one path and captures the measurement.
-/// The first pass (outside the timing loop) doubles as warm-up and as the
-/// deterministic cycle count.
-fn bench_point(
-    g: &mut BenchmarkGroup<'_>,
+/// Measures one row on both paths: an untimed warm-up pass per path, then
+/// `rounds` rounds of one timed pass per path, the order swapped every
+/// round. Returns the fused point, then the reference point.
+fn measure_alternating(
     name: &'static str,
     set: &[RunSpec],
     sim: &SimConfig,
-    path: EnginePath,
-) -> Point {
-    let cycles = run_set(set, sim, path);
-    g.throughput(Throughput::Elements(cycles));
-    let measured = g.bench_function(path_label(path), |b| {
-        b.iter(|| black_box(run_set(set, sim, path)))
-    });
-    let wall_seconds = match measured {
-        Some(m) => m.seconds_per_iter(),
-        // --test mode: criterion times nothing, so take one direct pass —
-        // the workloads are shrunk, and the JSON schema still gets real
-        // numbers.
-        None => {
+    rounds: usize,
+) -> [Point; 2] {
+    let paths = [EnginePath::Fused, EnginePath::Reference];
+    let cycles = paths.map(|path| black_box(run_set(set, sim, path)));
+    let mut walls = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+    for round in 0..rounds {
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for k in order {
             let t0 = Instant::now();
-            black_box(run_set(set, sim, path));
-            t0.elapsed().as_secs_f64()
+            black_box(run_set(set, sim, paths[k]));
+            walls[k].push(t0.elapsed().as_secs_f64());
         }
-    };
-    Point {
+    }
+    let [fused, reference] = walls;
+    let point = |k: usize, walls: Vec<f64>| Point {
         name,
-        path: path_label(path),
+        path: path_label(paths[k]),
         instructions_per_run: sim.instructions,
         runs: set.len(),
-        cycles,
-        wall_seconds,
-    }
-}
-
-/// Measures several suite runners with round-robin alternation: one warm-up
-/// pass per runner (which also fixes the deterministic cycle count), then
-/// `rounds` rounds that each time one full pass of every runner in turn.
-/// Reported wall time is the per-pass mean.
-fn measure_alternating(
-    name: &'static str,
-    instructions_per_run: u64,
-    runs: usize,
-    rounds: usize,
-    runners: &[(&'static str, &dyn Fn() -> u64)],
-) -> Vec<Point> {
-    let cycles: Vec<u64> = runners.iter().map(|(_, r)| black_box(r())).collect();
-    let mut walls = vec![0.0f64; runners.len()];
-    for _ in 0..rounds {
-        for (k, (_, r)) in runners.iter().enumerate() {
-            let t0 = Instant::now();
-            black_box(r());
-            walls[k] += t0.elapsed().as_secs_f64();
-        }
-    }
-    runners
-        .iter()
-        .zip(cycles)
-        .zip(walls)
-        .map(|(((label, _), cycles), wall)| Point {
-            name,
-            path: label,
-            instructions_per_run,
-            runs,
-            cycles,
-            wall_seconds: wall / rounds as f64,
-        })
-        .collect()
+        cycles: cycles[k],
+        walls,
+    };
+    [point(0, fused), point(1, reference)]
 }
 
 fn single(app: &str, technique: Technique) -> Vec<RunSpec> {
@@ -182,46 +183,65 @@ fn json_f64(v: f64) -> String {
 }
 
 fn json_point(p: &Point) -> String {
+    let (wall, rate) = (p.wall(), p.cycles_per_second());
     format!(
         "    {{\"name\": \"{}\", \"path\": \"{}\", \"instructions_per_run\": {}, \
-         \"runs\": {}, \"cycles\": {}, \"wall_seconds\": {}, \
-         \"ns_per_cycle\": {}, \"cycles_per_second\": {}}}",
+         \"runs\": {}, \"cycles\": {}, \"passes\": {}, \
+         \"wall_seconds\": {}, \"wall_seconds_q1\": {}, \"wall_seconds_q3\": {}, \
+         \"ns_per_cycle\": {}, \"cycles_per_second\": {}, \
+         \"cycles_per_second_q1\": {}, \"cycles_per_second_q3\": {}}}",
         p.name,
         p.path,
         p.instructions_per_run,
         p.runs,
         p.cycles,
-        json_f64(p.wall_seconds),
+        p.walls.len(),
+        json_f64(wall.median),
+        json_f64(wall.q1),
+        json_f64(wall.q3),
         json_f64(p.ns_per_cycle()),
-        json_f64(p.cycles_per_second()),
+        json_f64(rate.median),
+        json_f64(rate.q1),
+        json_f64(rate.q3),
     )
 }
 
-/// The whole `BENCH_kernel.json` document, schema `restune-kernel-bench-v3`.
+/// The whole `BENCH_kernel.json` document, schema `restune-kernel-bench-v4`.
 /// CI validates exactly these keys.
 fn json_document(mode: &str, points: &[Point], fused: &Point, reference: &Point) -> String {
-    let speedup = fused.cycles_per_second() / reference.cycles_per_second();
+    let (fw, fc) = (fused.wall(), fused.cycles_per_second());
+    let (rw, rc) = (reference.wall(), reference.cycles_per_second());
     let rows: Vec<String> = points.iter().map(json_point).collect();
     format!(
-        "{{\n  \"schema\": \"restune-kernel-bench-v3\",\n  \"mode\": \"{mode}\",\n  \
+        "{{\n  \"schema\": \"restune-kernel-bench-v4\",\n  \"mode\": \"{mode}\",\n  \
          \"batch_size\": {batch},\n  \
          \"benchmarks\": [\n{rows}\n  ],\n  \
          \"table3_suite\": {{\n    \"apps\": {apps},\n    \
          \"instructions_per_app\": {instr},\n    \
+         \"passes\": {passes},\n    \
          \"fused_wall_seconds\": {fw},\n    \
          \"fused_cycles_per_second\": {fc},\n    \
+         \"fused_cycles_per_second_q1\": {fc1},\n    \
+         \"fused_cycles_per_second_q3\": {fc3},\n    \
          \"reference_wall_seconds\": {rw},\n    \
          \"reference_cycles_per_second\": {rc},\n    \
+         \"reference_cycles_per_second_q1\": {rc1},\n    \
+         \"reference_cycles_per_second_q3\": {rc3},\n    \
          \"speedup_cycles_per_second\": {sp}\n  }}\n}}\n",
         batch = restune::kernel::FLUSH_BATCH,
         rows = rows.join(",\n"),
         apps = fused.runs / 2,
         instr = fused.instructions_per_run,
-        fw = json_f64(fused.wall_seconds),
-        fc = json_f64(fused.cycles_per_second()),
-        rw = json_f64(reference.wall_seconds),
-        rc = json_f64(reference.cycles_per_second()),
-        sp = json_f64(speedup),
+        passes = fused.walls.len(),
+        fw = json_f64(fw.median),
+        fc = json_f64(fc.median),
+        fc1 = json_f64(fc.q1),
+        fc3 = json_f64(fc.q3),
+        rw = json_f64(rw.median),
+        rc = json_f64(rc.median),
+        rc1 = json_f64(rc.q1),
+        rc3 = json_f64(rc.q3),
+        sp = json_f64(fc.median / rc.median),
     )
 }
 
@@ -236,7 +256,7 @@ fn output_path() -> std::path::PathBuf {
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let (mode, n_single, n_suite, apps, rounds) = if test_mode {
-        ("smoke", SMOKE_SINGLE, SMOKE_SUITE, SMOKE_APPS, 1)
+        ("smoke", SMOKE_SINGLE, SMOKE_SUITE, SMOKE_APPS, SMOKE_ROUNDS)
     } else {
         (
             "full",
@@ -248,63 +268,43 @@ fn main() {
     };
     let sim_single = SimConfig::isca04(n_single);
     let sim_suite = SimConfig::isca04(n_suite);
-    let mut criterion = Criterion::from_args();
     let mut points = Vec::new();
 
     let hot = single("swim", Technique::Base);
-    let mut g = criterion.benchmark_group("kernel_hot_loop");
-    g.sample_size(10);
-    for path in [EnginePath::Fused, EnginePath::Reference] {
-        points.push(bench_point(&mut g, "hot_loop", &hot, &sim_single, path));
-    }
-    g.finish();
-
+    points.extend(measure_alternating("hot_loop", &hot, &sim_single, rounds));
     let app = single("gcc", Technique::Tuning(TuningConfig::isca04_table1(100)));
-    let mut g = criterion.benchmark_group("kernel_full_app");
-    g.sample_size(10);
-    for path in [EnginePath::Fused, EnginePath::Reference] {
-        points.push(bench_point(&mut g, "full_app", &app, &sim_single, path));
-    }
-    g.finish();
+    points.extend(measure_alternating("full_app", &app, &sim_single, rounds));
 
     // The suite runs single-threaded in this process on both paths; the
     // engine spreads runs across its worker pool, but that is a scheduling
     // concern this kernel benchmark deliberately excludes.
     let suite = table3_suite(apps);
-    let fused_runner = || run_set(&suite, &sim_suite, EnginePath::Fused);
-    let reference_runner = || run_set(&suite, &sim_suite, EnginePath::Reference);
-    let suite_points = measure_alternating(
-        "table3_suite",
-        sim_suite.instructions,
-        suite.len(),
-        rounds,
-        &[("fused", &fused_runner), ("reference", &reference_runner)],
-    );
-    let [fused, reference]: [Point; 2] = suite_points
-        .try_into()
-        .unwrap_or_else(|_| unreachable!("two suite runners produce two points"));
+    let [fused, reference] = measure_alternating("table3_suite", &suite, &sim_suite, rounds);
 
-    let speedup = fused.cycles_per_second() / reference.cycles_per_second();
+    let speedup = fused.cycles_per_second().median / reference.cycles_per_second().median;
     let doc = json_document(mode, &points, &fused, &reference);
     points.push(fused);
     points.push(reference);
     let out = output_path();
     std::fs::write(&out, doc).expect("write BENCH_kernel.json");
 
-    println!("\nkernel vs reference ({} runs/path groups):", points.len());
+    println!("\nkernel vs reference (median [q1, q3] of {rounds} alternated passes):");
     for p in &points {
+        let rate = p.cycles_per_second();
         println!(
-            "  {:13} {:9}: {:8.1} ns/cycle, {:11.0} cycles/s ({} runs, {:.3} s)",
+            "  {:13} {:9}: {:8.1} ns/cycle, {:11.0} cycles/s [{:.0}, {:.0}] ({} runs, {:.3} s)",
             p.name,
             p.path,
             p.ns_per_cycle(),
-            p.cycles_per_second(),
+            rate.median,
+            rate.q1,
+            rate.q3,
             p.runs,
-            p.wall_seconds,
+            p.wall().median,
         );
     }
     println!(
-        "table3 suite speedup: fused vs reference {speedup:.2}x — wrote {}",
+        "table3 suite speedup: fused vs reference {speedup:.2}x (medians) — wrote {}",
         out.display()
     );
     if mode == "full" && speedup < 2.0 {

@@ -52,13 +52,29 @@ const SMOOTH: usize = 16;
 /// The pipeline-damping controller. It watches the *issued* instruction
 /// stream (via [`CycleEvents`]) to maintain its estimated-current window,
 /// and emits per-cycle issue-current caps and phantom floors.
+///
+/// Every per-cycle update is O(1). The smoothing sum is kept running: every
+/// estimate is a whole multiple of 3 A ([`apriori_issue_current`] times
+/// issue counts), so each partial sum is an integer far below 2^53 and
+/// adding the entering sample and subtracting the leaving one gives the
+/// same `f64` as summing the window afresh. The window's extremes are
+/// monotonic deques of `(cycle, smoothed)`: their fronts are the exact
+/// values a fold over the window would pick.
 #[derive(Debug, Clone)]
 pub struct PipelineDamping {
     config: DampingConfig,
     /// Raw estimates of the last [`SMOOTH`] cycles (pre-filter).
     recent: VecDeque<f64>,
-    /// Smoothed estimated current for each of the last `window` cycles.
-    history: VecDeque<f64>,
+    /// Sum of `recent`.
+    recent_sum: f64,
+    /// Window-minimum candidates, cycles ascending and values strictly
+    /// ascending: the front is the minimum of the last `window` cycles.
+    mins: VecDeque<(u64, f64)>,
+    /// Window-maximum candidates, cycles ascending and values strictly
+    /// descending: the front is the maximum of the last `window` cycles.
+    maxs: VecDeque<(u64, f64)>,
+    /// Cycles observed so far.
+    cycles: u64,
     throttled_cycles: u64,
     padded_cycles: u64,
 }
@@ -74,7 +90,10 @@ impl PipelineDamping {
         assert!(config.window > 0, "damping window must be nonzero");
         Self {
             recent: VecDeque::with_capacity(SMOOTH + 1),
-            history: VecDeque::with_capacity(super::reserved_slots(config.window)),
+            recent_sum: 0.0,
+            mins: VecDeque::with_capacity(super::reserved_slots(config.window)),
+            maxs: VecDeque::with_capacity(super::reserved_slots(config.window)),
+            cycles: 0,
             config,
             throttled_cycles: 0,
             padded_cycles: 0,
@@ -109,21 +128,37 @@ impl PipelineDamping {
     pub fn tick(&mut self, ev: &CycleEvents) -> PipelineControls {
         let issued = Self::estimated_issue_current(ev);
         self.recent.push_back(issued);
+        self.recent_sum += issued;
         if self.recent.len() > SMOOTH {
-            self.recent.pop_front();
+            self.recent_sum -= self.recent.pop_front().expect("smoothing window is full");
         }
-        let smoothed = self.recent.iter().sum::<f64>() / self.recent.len() as f64;
-        self.history.push_back(smoothed);
-        if self.history.len() > self.config.window as usize {
-            self.history.pop_front();
+        let smoothed = self.recent_sum / self.recent.len() as f64;
+
+        let now = self.cycles;
+        self.cycles += 1;
+        while self.mins.back().is_some_and(|&(_, v)| v >= smoothed) {
+            self.mins.pop_back();
         }
-        if self.history.len() < self.config.window as usize {
+        self.mins.push_back((now, smoothed));
+        while self.maxs.back().is_some_and(|&(_, v)| v <= smoothed) {
+            self.maxs.pop_back();
+        }
+        self.maxs.push_back((now, smoothed));
+        // One cycle leaves the window per tick: the one `window` cycles ago.
+        let window = u64::from(self.config.window);
+        if self.mins.front().is_some_and(|&(c, _)| c + window <= now) {
+            self.mins.pop_front();
+        }
+        if self.maxs.front().is_some_and(|&(c, _)| c + window <= now) {
+            self.maxs.pop_front();
+        }
+        if self.cycles < window {
             // Window not yet full ("always-on" damping still needs one
             // window of warmup before its bounds are meaningful).
             return PipelineControls::free();
         }
-        let w_min = self.history.iter().cloned().fold(f64::MAX, f64::min);
-        let w_max = self.history.iter().cloned().fold(f64::MIN, f64::max);
+        let w_min = self.mins.front().expect("the window holds this cycle").1;
+        let w_max = self.maxs.front().expect("the window holds this cycle").1;
         let delta = self.config.delta.amps();
         // Keep the window's spread within δ; when the window itself already
         // exceeds δ (transient), at least do not widen it further. The
@@ -155,11 +190,139 @@ impl PipelineDamping {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng as _, SeedableRng as _};
 
     fn events_with_issue(int_alu: u32) -> CycleEvents {
         let mut ev = CycleEvents::default();
         ev.issued[OpClass::IntAlu.index()] = int_alu;
         ev
+    }
+
+    /// The fold-based controller the O(1) window replaced: it re-sums the
+    /// smoothing window and folds the whole damping window for its min and
+    /// max every cycle. Kept as the oracle of the equivalence property.
+    struct FoldDamping {
+        config: DampingConfig,
+        recent: VecDeque<f64>,
+        history: VecDeque<f64>,
+        throttled_cycles: u64,
+        padded_cycles: u64,
+    }
+
+    impl FoldDamping {
+        fn new(config: DampingConfig) -> Self {
+            Self {
+                config,
+                recent: VecDeque::new(),
+                history: VecDeque::new(),
+                throttled_cycles: 0,
+                padded_cycles: 0,
+            }
+        }
+
+        fn tick(&mut self, ev: &CycleEvents) -> PipelineControls {
+            let issued = PipelineDamping::estimated_issue_current(ev);
+            self.recent.push_back(issued);
+            if self.recent.len() > SMOOTH {
+                self.recent.pop_front();
+            }
+            let smoothed = self.recent.iter().sum::<f64>() / self.recent.len() as f64;
+            self.history.push_back(smoothed);
+            if self.history.len() > self.config.window as usize {
+                self.history.pop_front();
+            }
+            if self.history.len() < self.config.window as usize {
+                return PipelineControls::free();
+            }
+            let w_min = self.history.iter().cloned().fold(f64::MAX, f64::min);
+            let w_max = self.history.iter().cloned().fold(f64::MIN, f64::max);
+            let delta = self.config.delta.amps();
+            let cap = (w_min + delta).max(w_max - delta);
+            let floor = (w_max - 2.0 * delta).max(0.0);
+            if smoothed > cap {
+                self.throttled_cycles += 1;
+            }
+            let mut controls = PipelineControls {
+                issue_current_cap: Some(cap),
+                ..PipelineControls::default()
+            };
+            if smoothed < floor {
+                self.padded_cycles += 1;
+                let target = (self.config.idle_current.amps() + floor).round();
+                controls.phantom = Some(PhantomLevel::Floor(target.clamp(0.0, 255.0) as u8));
+            }
+            controls
+        }
+    }
+
+    /// Random issue in bursts: each stretch of 1..=120 cycles draws every
+    /// class's count from 0..=its own ceiling (itself 0..=8), so the
+    /// smoothed estimate both drifts and swings.
+    fn bursty_events(seed: u64, cycles: usize) -> Vec<CycleEvents> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(cycles);
+        let mut ceilings = [0u32; OpClass::ALL.len()];
+        let mut stretch = 0u32;
+        for _ in 0..cycles {
+            if stretch == 0 {
+                stretch = rng.gen_range(1..=120u32);
+                for c in &mut ceilings {
+                    *c = rng.gen_range(0..=8u32);
+                }
+            }
+            stretch -= 1;
+            let mut ev = CycleEvents::default();
+            for (op, &ceiling) in OpClass::ALL.iter().zip(&ceilings) {
+                ev.issued[op.index()] = rng.gen_range(0..=ceiling);
+            }
+            out.push(ev);
+        }
+        out
+    }
+
+    fn control_bits(c: &PipelineControls) -> (Option<u64>, Option<PhantomLevel>) {
+        (c.issue_current_cap.map(f64::to_bits), c.phantom)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The O(1) window gives the fold oracle's controls, bit for bit,
+        /// on every cycle — the warm-up included — and the same throttled
+        /// and padded counts.
+        #[test]
+        fn o1_window_matches_the_fold_oracle(
+            window in 1u32..=300,
+            delta_relative in 0.05f64..1.5,
+            seed in any::<u64>(),
+            cycles in 1usize..2_000,
+        ) {
+            let config = DampingConfig::isca04_table5(delta_relative);
+            let config = DampingConfig { window, ..config };
+            let mut fast = PipelineDamping::new(config);
+            let mut oracle = FoldDamping::new(config);
+            for (cycle, ev) in bursty_events(seed, cycles).iter().enumerate() {
+                let got = fast.tick(ev);
+                let want = oracle.tick(ev);
+                prop_assert_eq!(got, want, "cycle {} window {}", cycle, window);
+                prop_assert_eq!(control_bits(&got), control_bits(&want));
+                prop_assert_eq!(fast.throttled_cycles(), oracle.throttled_cycles);
+                prop_assert_eq!(fast.padded_cycles(), oracle.padded_cycles);
+            }
+        }
+    }
+
+    #[test]
+    fn oracle_property_exercises_both_bounds() {
+        // The equivalence property is only as strong as its inputs: bursty
+        // issue must make the oracle both throttle and pad.
+        let mut oracle = FoldDamping::new(DampingConfig::isca04_table5(0.25));
+        for ev in &bursty_events(7, 5_000) {
+            let _ = oracle.tick(ev);
+        }
+        assert!(oracle.throttled_cycles > 0 && oracle.padded_cycles > 0);
     }
 
     #[test]

@@ -59,7 +59,10 @@ impl BitHistory {
 
     /// Shift in an empty bit for the new cycle.
     fn advance(&mut self) {
-        self.head = (self.head + 1) % self.bits.len();
+        self.head += 1;
+        if self.head == self.bits.len() {
+            self.head = 0;
+        }
         self.bits[self.head] = false;
     }
 
@@ -83,6 +86,15 @@ impl BitHistory {
     }
 }
 
+/// Every quarter period's event threshold `M·T/8`, in band order (the
+/// order of [`CurrentHistory::quarter_diffs`]).
+pub(crate) fn band_thresholds(config: &TuningConfig) -> Vec<f64> {
+    config
+        .quarter_periods()
+        .map(|q| config.event_threshold(q))
+        .collect()
+}
+
 /// The resonant-behavior detector: current history + band-wide event
 /// identification + repetition counting.
 ///
@@ -94,6 +106,10 @@ impl BitHistory {
 pub struct EventDetector {
     config: TuningConfig,
     history: CurrentHistory,
+    /// `M·T/8` per quarter period, in band order: built once by
+    /// [`band_thresholds`], so each has the bits
+    /// [`TuningConfig::event_threshold`] gives.
+    thresholds: Vec<f64>,
     high_low: BitHistory,
     low_high: BitHistory,
     events_detected: u64,
@@ -111,6 +127,7 @@ impl EventDetector {
         let len = config.history_length();
         Self {
             history: CurrentHistory::new(*q.start(), *q.end()),
+            thresholds: band_thresholds(&config),
             high_low: BitHistory::new(len),
             low_high: BitHistory::new(len),
             config,
@@ -141,9 +158,7 @@ impl EventDetector {
         // Identify: any quarter period whose |recent − older| ≥ M·T/8.
         let mut rose = false;
         let mut fell = false;
-        for q in self.config.quarter_periods() {
-            let diff = self.history.quarter_diff(q);
-            let thr = self.config.event_threshold(q);
+        for (diff, &thr) in self.history.quarter_diffs().zip(&self.thresholds) {
             if diff as f64 >= thr {
                 rose = true;
             } else if (diff as f64) <= -thr {

@@ -6,8 +6,11 @@
 //! cycles and of the `q` cycles before those, updated incrementally each
 //! cycle exactly as a hardware accumulator would (add the entering sample,
 //! subtract the leaving one).
-
-use std::collections::VecDeque;
+//!
+//! The register is a fixed ring of `2·q_max + 1` slots, zero before the
+//! first sample. During warm-up an adder's window reaches back before the
+//! first cycle, where nothing may be subtracted; the unwritten slots it
+//! reads there hold zero, so one branch-free update serves every cycle.
 
 /// Incrementally maintained sums over the last `q` and previous `q` cycles
 /// of the current history, for one quarter-period length.
@@ -22,10 +25,13 @@ struct QuarterAdder {
 /// the resonance band.
 #[derive(Debug, Clone)]
 pub struct CurrentHistory {
-    /// Whole-amp samples, most recent at the back. Length is bounded by
-    /// `2·q_max + 1`.
-    samples: VecDeque<i64>,
+    /// Whole-amp samples in a ring of `2·q_max + 1` slots; `newest` holds
+    /// the latest.
+    samples: Vec<i64>,
+    newest: usize,
+    /// One adder per quarter period, in band order (`q_min` first).
     adders: Vec<QuarterAdder>,
+    q_min: u32,
     q_max: u32,
     cycles: u64,
 }
@@ -40,7 +46,8 @@ impl CurrentHistory {
         assert!(q_min >= 2, "quarter periods must span at least 2 cycles");
         assert!(q_min <= q_max, "quarter-period range must be non-empty");
         Self {
-            samples: VecDeque::with_capacity((2 * q_max + 1) as usize),
+            samples: vec![0; (2 * q_max + 1) as usize],
+            newest: 0,
             adders: (q_min..=q_max)
                 .map(|q| QuarterAdder {
                     q,
@@ -48,33 +55,39 @@ impl CurrentHistory {
                     older: 0,
                 })
                 .collect(),
+            q_min,
             q_max,
             cycles: 0,
         }
     }
 
+    /// The sample `back` cycles before the newest (`back < 2·q_max + 1`).
+    #[inline]
+    fn sample_back(&self, back: usize) -> i64 {
+        let slot = match self.newest.checked_sub(back) {
+            Some(slot) => slot,
+            None => self.newest + self.samples.len() - back,
+        };
+        self.samples[slot]
+    }
+
     /// Pushes one cycle's whole-amp current sample.
     pub fn push(&mut self, amps: i64) {
-        self.samples.push_back(amps);
-        self.cycles += 1;
-        // Update each adder incrementally. Sample indices from the back:
-        // back = just pushed. For adder q: recent covers [len-q, len),
-        // older covers [len-2q, len-q).
-        let len = self.samples.len();
-        for a in self.adders.iter_mut() {
-            let q = a.q as usize;
-            a.recent += amps;
-            if len > q {
-                let leaving_recent = self.samples[len - 1 - q];
-                a.recent -= leaving_recent;
-                a.older += leaving_recent;
-            }
-            if len > 2 * q {
-                a.older -= self.samples[len - 1 - 2 * q];
-            }
+        self.newest += 1;
+        if self.newest == self.samples.len() {
+            self.newest = 0;
         }
-        if self.samples.len() > (2 * self.q_max) as usize {
-            self.samples.pop_front();
+        self.samples[self.newest] = amps;
+        self.cycles += 1;
+        // Update each adder incrementally: recent covers the newest q
+        // samples, older the q before those. A slot not yet written reads 0.
+        for i in 0..self.adders.len() {
+            let q = self.adders[i].q as usize;
+            let leaving_recent = self.sample_back(q);
+            let leaving_older = self.sample_back(2 * q);
+            let a = &mut self.adders[i];
+            a.recent += amps - leaving_recent;
+            a.older += leaving_recent - leaving_older;
         }
     }
 
@@ -97,12 +110,19 @@ impl CurrentHistory {
     ///
     /// Panics if `q` is outside the configured range.
     pub fn quarter_diff(&self, q: u32) -> i64 {
-        let a = self
-            .adders
-            .iter()
-            .find(|a| a.q == q)
-            .expect("quarter period must be within the configured band");
+        assert!(
+            (self.q_min..=self.q_max).contains(&q),
+            "quarter period must be within the configured band"
+        );
+        let a = &self.adders[(q - self.q_min) as usize];
         a.recent - a.older
+    }
+
+    /// Every quarter period's `recent − older`, in band order (`q_min`
+    /// first) — the per-cycle walk the event detector compares against its
+    /// thresholds.
+    pub fn quarter_diffs(&self) -> impl Iterator<Item = i64> + '_ {
+        self.adders.iter().map(|a| a.recent - a.older)
     }
 
     /// All configured quarter periods.
@@ -154,24 +174,72 @@ mod tests {
 
     #[test]
     fn incremental_matches_brute_force() {
-        // Property: the incremental adders always equal a brute-force sum.
-        let mut h = CurrentHistory::new(5, 12);
-        let mut all: Vec<i64> = Vec::new();
-        let mut x = 37i64;
-        for k in 0..400i64 {
-            // A deterministic pseudo-random-ish sequence.
-            x = (x * 31 + k) % 97;
-            all.push(x);
-            h.push(x);
-            for q in 5..=12u32 {
-                let qq = q as usize;
+        // Property: the incremental adders always equal a brute-force sum,
+        // read one quarter period at a time or as the detector's band-order
+        // walk; and the detector's prebuilt thresholds are, bit for bit,
+        // the config's M·T/8. Covered: a narrow test band, Table 1, and the
+        // bands calibrated for PDNs at 0.7× and 1.5× the Table 1 inductance.
+        use crate::config::TuningConfig;
+        use crate::detector::events::band_thresholds;
+        use rlc::units::Amps;
+
+        let calibrated = |pdn_scale: f64| {
+            let sim = crate::sweep::sim_for(pdn_scale, 1).expect("valid PDN scale");
+            TuningConfig::calibrated(&sim.supply, sim.clock, Amps::new(70.0), 100)
+                .expect("band calibrates")
+        };
+        let configs = [
+            TuningConfig::isca04_table1(100),
+            calibrated(0.7),
+            calibrated(1.5),
+        ];
+        assert_ne!(configs[1].quarter_periods(), configs[2].quarter_periods());
+        let mut bands = vec![(5u32, 12u32)];
+        bands.extend(
+            configs
+                .iter()
+                .map(|c| (*c.quarter_periods().start(), *c.quarter_periods().end())),
+        );
+        for (q_min, q_max) in bands {
+            let mut h = CurrentHistory::new(q_min, q_max);
+            let mut all: Vec<i64> = Vec::new();
+            let mut x = 37i64;
+            for k in 0..(8 * q_max as i64 + 150) {
+                // A deterministic pseudo-random-ish sequence.
+                x = (x * 31 + k) % 97;
+                all.push(x);
+                h.push(x);
                 let n = all.len();
-                let recent: i64 = all[n.saturating_sub(qq)..].iter().sum();
-                let older: i64 = all[n.saturating_sub(2 * qq)..n.saturating_sub(qq)]
-                    .iter()
-                    .sum();
-                assert_eq!(h.quarter_diff(q), recent - older, "cycle {k} q {q}");
+                let brute: Vec<i64> = (q_min..=q_max)
+                    .map(|q| {
+                        let qq = q as usize;
+                        let recent: i64 = all[n.saturating_sub(qq)..].iter().sum();
+                        let older: i64 = all[n.saturating_sub(2 * qq)..n.saturating_sub(qq)]
+                            .iter()
+                            .sum();
+                        recent - older
+                    })
+                    .collect();
+                for (q, &want) in (q_min..=q_max).zip(&brute) {
+                    assert_eq!(h.quarter_diff(q), want, "cycle {k} q {q}");
+                }
+                let walked: Vec<i64> = h.quarter_diffs().collect();
+                assert_eq!(walked, brute, "cycle {k} band {q_min}..={q_max}");
             }
+        }
+        for config in &configs {
+            let prebuilt = band_thresholds(config);
+            let expected: Vec<u64> = config
+                .quarter_periods()
+                .map(|q| config.event_threshold(q).to_bits())
+                .collect();
+            let got: Vec<u64> = prebuilt.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(
+                got,
+                expected,
+                "thresholds of {:?}",
+                config.quarter_periods()
+            );
         }
     }
 

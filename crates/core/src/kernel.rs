@@ -88,7 +88,7 @@ pub fn run_on_path(
                 technique,
                 sim,
                 FLUSH_BATCH,
-                |_| {},
+                None,
                 None,
                 &mut faults,
                 None,
@@ -96,8 +96,7 @@ pub fn run_on_path(
             .0
         }
         EnginePath::Reference => {
-            crate::sim::run_core_reference(profile, technique, sim, |_| {}, None, &mut faults, None)
-                .0
+            crate::sim::run_core_reference(profile, technique, sim, None, None, &mut faults, None).0
         }
     }
 }
@@ -118,7 +117,7 @@ pub fn run_with_batch(
         technique,
         sim,
         batch.clamp(1, MAX_BATCH),
-        |_| {},
+        None,
         None,
         &mut faults,
         None,
@@ -126,7 +125,8 @@ pub fn run_with_batch(
 }
 
 /// A cycle simulated but not yet flushed through the supply: everything a
-/// [`CycleRecord`] needs except the noise voltage.
+/// [`CycleRecord`] needs except the noise voltage. Built only when an
+/// observer is attached.
 struct PendingCycle {
     cycle: u64,
     current: f64,
@@ -138,14 +138,15 @@ struct PendingCycle {
 /// The fused batched simulation loop. Same contract as the reference loop
 /// in [`crate::sim`]: returns the outcome and detector-event count;
 /// watchdog expiry and surfaced integration errors unwind with a typed
-/// [`FaultSignal`].
+/// [`FaultSignal`]. With an observer, every cycle's [`CycleRecord`] reaches
+/// it in order after its flush; without one, no record is built.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
+pub(crate) fn run_fused(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
     flush_batch: usize,
-    mut observer: F,
+    mut observer: Option<&mut dyn FnMut(&CycleRecord)>,
     mut timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
@@ -170,7 +171,8 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
 
     let mut currents: Vec<f64> = Vec::with_capacity(flush_every);
     let mut noises: Vec<f64> = Vec::with_capacity(flush_every);
-    let mut pending: Vec<PendingCycle> = Vec::with_capacity(flush_every);
+    let recording = observer.is_some();
+    let mut pending: Vec<PendingCycle> = Vec::new();
 
     let mut last_current = idle;
     let mut last_noise = Volts::new(0.0);
@@ -199,7 +201,7 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
         currents.clear();
         pending.clear();
         let base_cycle = cycles;
-        while pending.len() < flush_every
+        while currents.len() < flush_every
             && cpu.stats().committed < sim.instructions
             && cycles < sim.max_cycles
         {
@@ -244,13 +246,15 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
                 }
             }
             currents.push(amps);
-            pending.push(PendingCycle {
-                cycle: cycles,
-                current: amps,
-                event_count,
-                restricted: controls.is_restricted(),
-                events: ev,
-            });
+            if recording {
+                pending.push(PendingCycle {
+                    cycle: cycles,
+                    current: amps,
+                    event_count,
+                    restricted: controls.is_restricted(),
+                    events: ev,
+                });
+            }
             last_current = Amps::new(amps);
             last_events = ev;
             cycles += 1;
@@ -276,19 +280,21 @@ pub(crate) fn run_fused<F: FnMut(&CycleRecord)>(
                 acc.supply_flush += t0.elapsed();
             }
         }
-        let completed = match &flushed {
-            Ok(()) => pending.len(),
-            Err((k, _)) => *k,
-        };
-        for (p, &noise) in pending[..completed].iter().zip(&noises) {
-            observer(&CycleRecord {
-                cycle: p.cycle,
-                current: Amps::new(p.current),
-                noise: Volts::new(noise),
-                event_count: p.event_count,
-                restricted: p.restricted,
-                events: p.events,
-            });
+        if let Some(observe) = observer.as_deref_mut() {
+            let completed = match &flushed {
+                Ok(()) => pending.len(),
+                Err((k, _)) => *k,
+            };
+            for (p, &noise) in pending[..completed].iter().zip(&noises) {
+                observe(&CycleRecord {
+                    cycle: p.cycle,
+                    current: Amps::new(p.current),
+                    noise: Volts::new(noise),
+                    event_count: p.event_count,
+                    restricted: p.restricted,
+                    events: p.events,
+                });
+            }
         }
         if let Err((k, e)) = flushed {
             std::panic::panic_any(FaultSignal::numerical(e, base_cycle + k as u64));

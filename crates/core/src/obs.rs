@@ -489,6 +489,12 @@ impl CycleTracer {
         }
     }
 
+    /// `true` when this run is traced. A dormant tracer observes nothing,
+    /// so a simulation loop may leave it detached and build no records.
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// Observes one simulated cycle.
     pub fn observe(&mut self, rec: &CycleRecord) {
         if !self.enabled {

@@ -70,7 +70,9 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's machine with a given instruction budget per run.
+    /// The paper's machine with a given instruction budget per run. The
+    /// cycle cap is 12 cycles per instruction plus 100k, saturating at
+    /// `u64::MAX` for budgets whose cap does not fit.
     pub fn isca04(instructions: u64) -> Self {
         Self {
             cpu: CpuConfig::isca04_table1(),
@@ -78,8 +80,14 @@ impl SimConfig {
             supply: SupplyParams::isca04_table1(),
             clock: Hertz::from_giga(10.0),
             instructions,
-            max_cycles: instructions * 12 + 100_000,
+            max_cycles: Self::cycle_cap(instructions).unwrap_or(u64::MAX),
         }
+    }
+
+    /// The cycle cap [`SimConfig::isca04`] gives `instructions`, or `None`
+    /// when it overflows a `u64`.
+    pub(crate) fn cycle_cap(instructions: u64) -> Option<u64> {
+        instructions.checked_mul(12)?.checked_add(100_000)
     }
 }
 
@@ -310,11 +318,11 @@ pub(crate) fn finish_run(
 /// `RESTUNE_KERNEL=off` escape hatch selects the per-cycle reference loop.
 /// The two paths are bit-exact (proven by the golden-trace fixtures and the
 /// property suite), so the choice is purely a performance matter.
-fn run_core<F: FnMut(&CycleRecord)>(
+fn run_core(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
-    observer: F,
+    observer: Option<&mut dyn FnMut(&CycleRecord)>,
     timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
@@ -340,17 +348,18 @@ fn run_core<F: FnMut(&CycleRecord)>(
 /// scheduling ([`ScanMode::FullScan`]), a private stream decode, and one
 /// supply step per cycle.
 ///
+/// `observer`, when given, sees every cycle's [`CycleRecord`] in order.
 /// `faults` is the per-run fault state machine (the identity for ordinary
 /// runs — the inert fast path returns every value bit-for-bit) and
 /// `deadline` the optional watchdog deadline, checked every
 /// `WATCHDOG_CHECK_MASK + 1` cycles. Watchdog expiry and surfaced
 /// integration errors unwind with a typed [`FaultSignal`] payload so the
 /// supervisor can classify them.
-pub(crate) fn run_core_reference<F: FnMut(&CycleRecord)>(
+pub(crate) fn run_core_reference(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
-    mut observer: F,
+    mut observer: Option<&mut dyn FnMut(&CycleRecord)>,
     mut timers: Option<&mut PhaseTimings>,
     faults: &mut FaultRuntime,
     deadline: Option<Instant>,
@@ -435,14 +444,16 @@ pub(crate) fn run_core_reference<F: FnMut(&CycleRecord)>(
             }
         }
 
-        observer(&CycleRecord {
-            cycle: cycles,
-            current,
-            noise: out.noise,
-            event_count,
-            restricted: controls.is_restricted(),
-            events: ev,
-        });
+        if let Some(observe) = observer.as_deref_mut() {
+            observe(&CycleRecord {
+                cycle: cycles,
+                current,
+                noise: out.noise,
+                event_count,
+                restricted: controls.is_restricted(),
+                events: ev,
+            });
+        }
 
         last_current = current;
         last_noise = out.noise;
@@ -469,13 +480,13 @@ pub fn run_observed<F: FnMut(&CycleRecord)>(
     profile: &WorkloadProfile,
     technique: &Technique,
     sim: &SimConfig,
-    observer: F,
+    mut observer: F,
 ) -> SimResult {
     run_core(
         profile,
         technique,
         sim,
-        observer,
+        Some(&mut observer),
         None,
         &mut FaultRuntime::none(),
         None,
@@ -485,7 +496,16 @@ pub fn run_observed<F: FnMut(&CycleRecord)>(
 
 /// Runs one application under a technique.
 pub fn run(profile: &WorkloadProfile, technique: &Technique, sim: &SimConfig) -> SimResult {
-    run_observed(profile, technique, sim, |_| {})
+    run_core(
+        profile,
+        technique,
+        sim,
+        None,
+        None,
+        &mut FaultRuntime::none(),
+        None,
+    )
+    .0
 }
 
 /// Runs one application with observability enabled: the returned
@@ -504,7 +524,7 @@ pub fn run_instrumented(
         profile,
         technique,
         sim,
-        |_| {},
+        None,
         Some(&mut phases),
         &mut FaultRuntime::none(),
         None,
@@ -548,11 +568,13 @@ pub fn run_supervised(
     deadline: Option<Instant>,
 ) -> InstrumentedRun {
     // Observability: the tracer is a read-only observer over per-cycle
-    // records the loop computes anyway, so a traced run stays bit-identical
-    // to an untraced one. When tracing is off it is dormant and the
-    // observer closure reduces to one branch per cycle.
+    // records, so a traced run stays bit-identical to an untraced one. It
+    // decides once per run: when tracing is off it is dormant, no observer
+    // is attached, and the loop builds no records.
     let mut tracer =
         crate::obs::CycleTracer::new(profile.name, technique.name(), sim.supply.noise_margin());
+    let traced = tracer.is_enabled();
+    let mut observe = |rec: &CycleRecord| tracer.observe(rec);
     crate::obs::note_armed_faults(profile.name, specs);
     let mut faults = FaultRuntime::from_specs(specs, sense_scale(technique, sim));
     faults.set_traced_app(profile.name);
@@ -563,7 +585,7 @@ pub fn run_supervised(
         profile,
         technique,
         sim,
-        |rec| tracer.observe(rec),
+        traced.then_some(&mut observe as &mut dyn FnMut(&CycleRecord)),
         Some(&mut phases),
         &mut faults,
         deadline,
@@ -848,6 +870,16 @@ mod tests {
         let delayed = [FaultSpec::SensorDelay { cycles: u32::MAX }];
         let inst = run_supervised(&p, &sensor, &sim, &delayed, None);
         assert!(inst.result.committed >= 2_000);
+    }
+
+    #[test]
+    fn cycle_cap_saturates_instead_of_wrapping() {
+        assert_eq!(SimConfig::isca04(u64::MAX).max_cycles, u64::MAX);
+        assert_eq!(SimConfig::isca04(1_000).max_cycles, 112_000);
+        let largest = (u64::MAX - 100_000) / 12;
+        assert_eq!(SimConfig::cycle_cap(largest), Some(largest * 12 + 100_000));
+        assert_eq!(SimConfig::cycle_cap(largest + 1), None);
+        assert_eq!(SimConfig::isca04(largest + 1).max_cycles, u64::MAX);
     }
 
     #[test]

@@ -380,8 +380,10 @@ impl GridSpec {
     ///
     /// Returns a one-line description of the first malformed pair — an
     /// unknown key, an unparseable value, a PDN scale that produces an
-    /// invalid (non-underdamped) supply network, or a sensor point with
-    /// negative noise or a non-positive actual threshold.
+    /// invalid (non-underdamped) supply network, a sensor point with
+    /// negative noise or a non-positive actual threshold, or an instruction
+    /// count whose cycle cap (12 cycles per instruction plus 100k)
+    /// overflows a `u64`.
     pub fn parse(
         pairs: &[(String, String)],
         default_instructions: u64,
@@ -432,6 +434,12 @@ impl GridSpec {
                         .ok()
                         .filter(|&n| n > 0)
                         .ok_or_else(|| format!("invalid instruction count '{value}'"))?;
+                    if SimConfig::cycle_cap(spec.instructions).is_none() {
+                        return Err(format!(
+                            "grid axis 'instructions': {value} instructions overflow the \
+                             run's cycle cap"
+                        ));
+                    }
                 }
                 other => {
                     return Err(format!(
@@ -846,6 +854,17 @@ mod tests {
             let result = GridSpec::parse(&pairs(&[bad]), 120_000);
             assert!(result.is_err(), "{bad:?} must be rejected");
         }
+        // u64::MAX instructions: the cycle cap overflows.
+        let err = GridSpec::parse(&pairs(&[("instructions", "18446744073709551615")]), 120_000)
+            .expect_err("an overflowing cycle cap is rejected");
+        assert!(
+            err.contains("'instructions'"),
+            "the error names the axis: {err}"
+        );
+        let largest = ((u64::MAX - 100_000) / 12).to_string();
+        let spec = GridSpec::parse(&pairs(&[("instructions", largest.as_str())]), 120_000)
+            .expect("the largest count whose cap fits parses");
+        assert_eq!(SimConfig::cycle_cap(spec.instructions), Some(u64::MAX - 11));
     }
 
     #[test]

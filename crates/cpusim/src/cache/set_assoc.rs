@@ -2,15 +2,22 @@
 
 use crate::config::CacheConfig;
 
+/// The tag of an invalid way. A tag is `addr >> (line bits + set bits)`
+/// with at least one bit shifted out (checked in [`SetAssocCache::new`]),
+/// so no address has an all-ones tag.
+const INVALID: u64 = u64::MAX;
+
 /// A set-associative cache array. Stores only tags (the simulator never needs
 /// data values), with per-set true-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
     sets_mask: u64,
+    /// `log2(sets)`: the set-index bits between the line offset and the tag.
+    set_bits: u32,
     line_shift: u32,
-    /// `ways[set * assoc + way]`: tag, or `None` when invalid.
-    tags: Vec<Option<u64>>,
+    /// `tags[set * assoc + way]`: tag, or [`INVALID`].
+    tags: Vec<u64>,
     /// LRU stamps parallel to `tags` (larger = more recently used).
     stamps: Vec<u64>,
     tick: u64,
@@ -23,15 +30,23 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics on degenerate geometry (see [`CacheConfig::sets`]).
+    /// Panics on degenerate geometry (see [`CacheConfig::sets`]), including
+    /// a single set of one-byte lines, whose tags would span every `u64`.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
         let n = (sets * config.ways as u64) as usize;
+        let set_bits = sets.trailing_zeros();
+        let line_shift = config.line_bytes.trailing_zeros();
+        assert!(
+            set_bits + line_shift > 0,
+            "a cache needs more than one set or lines wider than one byte"
+        );
         Self {
             sets_mask: sets - 1,
-            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits,
+            line_shift,
             config,
-            tags: vec![None; n],
+            tags: vec![INVALID; n],
             stamps: vec![0; n],
             tick: 0,
             accesses: 0,
@@ -48,7 +63,7 @@ impl SetAssocCache {
     fn index_of(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         let set = (line & self.sets_mask) as usize;
-        let tag = line >> (self.sets_mask.count_ones());
+        let tag = line >> self.set_bits;
         (set, tag)
     }
 
@@ -62,7 +77,7 @@ impl SetAssocCache {
         let base = set * assoc;
         // Hit?
         for way in 0..assoc {
-            if self.tags[base + way] == Some(tag) {
+            if self.tags[base + way] == tag {
                 self.stamps[base + way] = self.tick;
                 return true;
             }
@@ -70,13 +85,13 @@ impl SetAssocCache {
         self.misses += 1;
         // Fill: prefer an invalid way, else evict LRU.
         let victim = (0..assoc)
-            .find(|&w| self.tags[base + w].is_none())
+            .find(|&w| self.tags[base + w] == INVALID)
             .unwrap_or_else(|| {
                 (0..assoc)
                     .min_by_key(|&w| self.stamps[base + w])
                     .expect("associativity is nonzero")
             });
-        self.tags[base + victim] = Some(tag);
+        self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.tick;
         false
     }
@@ -86,7 +101,7 @@ impl SetAssocCache {
         let (set, tag) = self.index_of(addr);
         let assoc = self.config.ways as usize;
         let base = set * assoc;
-        (0..assoc).any(|w| self.tags[base + w] == Some(tag))
+        (0..assoc).any(|w| self.tags[base + w] == tag)
     }
 
     /// Total accesses so far.
@@ -117,7 +132,7 @@ impl SetAssocCache {
 
     /// Invalidates everything and clears statistics.
     pub fn clear(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
+        self.tags.iter_mut().for_each(|t| *t = INVALID);
         self.stamps.iter_mut().for_each(|s| *s = 0);
         self.tick = 0;
         self.accesses = 0;
@@ -210,6 +225,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn highest_addresses_are_cached_like_any_other() {
+        // Their tags are the largest a cache can hold, one below the
+        // invalid marker.
+        let mut c = tiny();
+        assert!(!c.contains(u64::MAX));
+        assert!(!c.access(u64::MAX));
+        assert!(c.access(u64::MAX - 1)); // same line
+        assert!(c.contains(u64::MAX));
+        assert_eq!(c.misses(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one set")]
+    fn one_set_of_byte_lines_is_rejected() {
+        let _ = SetAssocCache::new(CacheConfig {
+            size_bytes: 4,
+            ways: 4,
+            line_bytes: 1,
+            latency: 1,
+        });
     }
 
     #[test]

@@ -95,8 +95,16 @@ pub struct Cpu<S> {
     config: CpuConfig,
     stream: S,
     caches: CacheHierarchy,
-    /// The unified window, ordered oldest (front) to youngest (back).
-    rob: VecDeque<RobEntry>,
+    /// The unified window as a ring indexed by `seq & rob_mask`. The window
+    /// is contiguous in `seq` — it holds `rob_head..next_seq`, oldest first
+    /// — and a squash reuses the squashed seqs, so a live seq never shares
+    /// a slot with another. Slots outside the window hold stale entries.
+    rob: Vec<RobEntry>,
+    /// `rob.len() - 1`; the ring is `rob_entries` rounded up to a power of
+    /// two, while dispatch still stops at `rob_entries`.
+    rob_mask: u64,
+    /// The oldest in-window `seq` (equal to `next_seq` when it is empty).
+    rob_head: u64,
     /// Fetched but not yet dispatched instructions, in program order.
     fetch_buffer: VecDeque<SynthInst>,
     /// Squashed instructions awaiting re-fetch after a redirect, in order.
@@ -129,6 +137,8 @@ pub struct Cpu<S> {
     issue_scratch: Vec<u64>,
     /// Reusable writeback buffer (`seq`s completing this cycle).
     completing_scratch: Vec<u64>,
+    /// Reusable squash buffer (instructions queued for replay).
+    squash_scratch: Vec<SynthInst>,
 }
 
 impl<S: InstructionStream> Cpu<S> {
@@ -154,11 +164,21 @@ impl<S: InstructionStream> Cpu<S> {
             BranchModel::Profile => None,
             BranchModel::Predictor { kind, entries } => Some(BranchPredictor::new(kind, entries)),
         };
+        let ring = u64::from(config.rob_entries).next_power_of_two();
+        let stale = RobEntry {
+            seq: u64::MAX,
+            inst: SynthInst::int_alu(),
+            state: InstState::Completed,
+            subs: NO_SUB,
+            next_sub: NO_SUB,
+        };
         Self {
             miss_tracker,
             predictor,
             caches: CacheHierarchy::new(&config),
-            rob: VecDeque::with_capacity(config.rob_entries as usize),
+            rob: vec![stale; ring as usize],
+            rob_mask: ring - 1,
+            rob_head: 0,
             fetch_buffer: VecDeque::with_capacity(config.fetch_buffer as usize),
             replay: VecDeque::new(),
             redirect_stall: 0,
@@ -174,6 +194,7 @@ impl<S: InstructionStream> Cpu<S> {
             executing: Vec::with_capacity(config.rob_entries as usize),
             issue_scratch: Vec::with_capacity(config.issue_width as usize),
             completing_scratch: Vec::with_capacity(config.rob_entries as usize),
+            squash_scratch: Vec::with_capacity(config.rob_entries as usize),
             config,
             stream,
         }
@@ -221,14 +242,23 @@ impl<S: InstructionStream> Cpu<S> {
             .map(|bp| (bp.predictions(), bp.misprediction_rate()))
     }
 
-    /// Looks up a window entry by sequence number. The window is contiguous
-    /// in `seq`, so this is O(1).
+    /// The ring slot of `seq`.
+    #[inline]
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// Instructions in the window.
+    fn rob_len(&self) -> u64 {
+        self.next_seq - self.rob_head
+    }
+
+    /// Looks up a window entry by sequence number: O(1), one mask.
     fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
+        if seq < self.rob_head || seq >= self.next_seq {
             return None;
         }
-        let e = self.rob.get((seq - front) as usize)?;
+        let e = &self.rob[self.slot(seq)];
         debug_assert_eq!(e.seq, seq, "window must be contiguous in seq");
         Some(e)
     }
@@ -296,26 +326,23 @@ impl<S: InstructionStream> Cpu<S> {
     /// program order.
     fn squash_younger_than(&mut self, seq: u64) {
         // Entries in the ROB younger than the branch, oldest first.
-        let mut replayed: Vec<SynthInst> = Vec::new();
-        while let Some(back) = self.rob.back() {
-            if back.seq > seq {
-                let e = self.rob.pop_back().expect("back exists");
-                if e.inst.op.is_mem() {
-                    self.lsq_occupancy -= 1;
-                }
-                replayed.push(e.inst);
-            } else {
-                break;
+        let mut replayed = std::mem::take(&mut self.squash_scratch);
+        replayed.clear();
+        for younger in seq + 1..self.next_seq {
+            let inst = self.rob[self.slot(younger)].inst;
+            if inst.op.is_mem() {
+                self.lsq_occupancy -= 1;
             }
+            replayed.push(inst);
         }
-        replayed.reverse();
         // Fetch buffer contents are younger than anything in the ROB.
         replayed.extend(self.fetch_buffer.drain(..));
         // The next sequence numbers will be re-assigned at re-dispatch;
         // pull the replayed instructions before new stream instructions.
-        for inst in replayed.into_iter().rev() {
+        for &inst in replayed.iter().rev() {
             self.replay.push_front(inst);
         }
+        self.squash_scratch = replayed;
         // Reuse the squashed sequence numbers for the replayed instructions:
         // the window must stay contiguous in `seq` for O(1) lookup, and
         // dependence distances are relative so re-dispatch at the same seq
@@ -338,13 +365,13 @@ impl<S: InstructionStream> Cpu<S> {
     fn rebuild_event_state(&mut self) {
         self.ready.clear();
         self.executing.clear();
-        for e in self.rob.iter_mut() {
-            e.subs = NO_SUB;
-            e.next_sub = NO_SUB;
+        for seq in self.rob_head..self.next_seq {
+            let idx = self.slot(seq);
+            self.rob[idx].subs = NO_SUB;
+            self.rob[idx].next_sub = NO_SUB;
         }
-        for idx in 0..self.rob.len() {
-            let (seq, state) = (self.rob[idx].seq, self.rob[idx].state);
-            match state {
+        for seq in self.rob_head..self.next_seq {
+            match self.rob[self.slot(seq)].state {
                 InstState::Waiting => self.link_or_ready(seq),
                 InstState::Executing { done_at } => self.executing.push((done_at, seq)),
                 InstState::Completed => {}
@@ -370,15 +397,14 @@ impl<S: InstructionStream> Cpu<S> {
     /// blocking producer (re-checked and re-filed at that producer's
     /// completion).
     fn link_or_ready(&mut self, seq: u64) {
-        let front = self.rob.front().expect("entry exists").seq;
-        let idx = (seq - front) as usize;
+        let idx = self.slot(seq);
         let inst = self.rob[idx].inst;
         let blocker = self
             .unready_producer(seq, inst.src1_dist)
             .or_else(|| self.unready_producer(seq, inst.src2_dist));
         match blocker {
             Some(producer) => {
-                let p_idx = (producer - front) as usize;
+                let p_idx = self.slot(producer);
                 self.rob[idx].next_sub = self.rob[p_idx].subs;
                 self.rob[p_idx].subs = seq;
             }
@@ -390,13 +416,10 @@ impl<S: InstructionStream> Cpu<S> {
     /// each is re-checked and either goes ready or re-subscribes to its
     /// other (still unready) producer.
     fn wake_subscribers(&mut self, producer: u64) {
-        let Some(front) = self.rob.front().map(|f| f.seq) else {
-            return;
-        };
-        let p_idx = (producer - front) as usize;
+        let p_idx = self.slot(producer);
         let mut next = std::mem::replace(&mut self.rob[p_idx].subs, NO_SUB);
         while next != NO_SUB {
-            let c_idx = (next - front) as usize;
+            let c_idx = self.slot(next);
             let seq = next;
             next = std::mem::replace(&mut self.rob[c_idx].next_sub, NO_SUB);
             debug_assert_eq!(self.rob[c_idx].state, InstState::Waiting);
@@ -459,7 +482,7 @@ impl<S: InstructionStream> Cpu<S> {
     fn dispatch(&mut self, events: &mut CycleEvents) {
         let mut dispatched = 0;
         while dispatched < self.config.dispatch_width
-            && self.rob.len() < self.config.rob_entries as usize
+            && self.rob_len() < u64::from(self.config.rob_entries)
         {
             let Some(&inst) = self.fetch_buffer.front() else {
                 break;
@@ -472,13 +495,14 @@ impl<S: InstructionStream> Cpu<S> {
                 self.lsq_occupancy += 1;
             }
             let seq = self.next_seq;
-            self.rob.push_back(RobEntry {
+            let idx = self.slot(seq);
+            self.rob[idx] = RobEntry {
                 seq,
                 inst,
                 state: InstState::Waiting,
                 subs: NO_SUB,
                 next_sub: NO_SUB,
-            });
+            };
             self.next_seq += 1;
             dispatched += 1;
             if self.scan == ScanMode::Event {
@@ -517,9 +541,8 @@ impl<S: InstructionStream> Cpu<S> {
             ScanMode::FullScan => self.select_by_scan(&mut picker, &mut to_issue),
         }
 
-        let front = self.rob.front().map_or(0, |f| f.seq);
         for &seq in &to_issue {
-            let idx = (seq - front) as usize;
+            let idx = self.slot(seq);
             let inst = self.rob[idx].inst;
             let latency = self.execution_latency(&inst, events);
             match inst.op {
@@ -542,8 +565,8 @@ impl<S: InstructionStream> Cpu<S> {
     /// The classic selection: walk the whole window oldest-first, checking
     /// readiness as we go.
     fn select_by_scan(&mut self, picker: &mut IssuePicker, to_issue: &mut Vec<u64>) {
-        for idx in 0..self.rob.len() {
-            let e = &self.rob[idx];
+        for seq in self.rob_head..self.next_seq {
+            let e = &self.rob[self.slot(seq)];
             if e.state != InstState::Waiting {
                 continue;
             }
@@ -569,11 +592,6 @@ impl<S: InstructionStream> Cpu<S> {
         }
         let mut ready = std::mem::take(&mut self.ready);
         ready.sort_unstable();
-        let front = self
-            .rob
-            .front()
-            .expect("ready entries are in the window")
-            .seq;
         let mut kept = 0usize;
         let mut stopped = false;
         for i in 0..ready.len() {
@@ -583,8 +601,7 @@ impl<S: InstructionStream> Cpu<S> {
                 kept += 1;
                 continue;
             }
-            let idx = (seq - front) as usize;
-            let e = &self.rob[idx];
+            let e = &self.rob[self.slot(seq)];
             debug_assert_eq!(e.seq, seq);
             debug_assert_eq!(e.state, InstState::Waiting);
             match picker.consider(e.inst.op) {
@@ -615,10 +632,8 @@ impl<S: InstructionStream> Cpu<S> {
             self.stats.mispredicts += 1;
             // Clear the flag so the replayed world does not re-squash on
             // this same branch (it stays in the window, already resolved).
-            if let Some(front) = self.rob.front().map(|f| f.seq) {
-                let idx = (seq - front) as usize;
-                self.rob[idx].inst.mispredict = false;
-            }
+            let idx = self.slot(seq);
+            self.rob[idx].inst.mispredict = false;
             self.squash_younger_than(seq);
         }
     }
@@ -630,7 +645,8 @@ impl<S: InstructionStream> Cpu<S> {
         let cycle = self.cycle;
         let mut mispredicted_branch: Option<u64> = None;
         let predictor = &mut self.predictor;
-        for e in self.rob.iter_mut() {
+        for seq in self.rob_head..self.next_seq {
+            let e = &mut self.rob[(seq & self.rob_mask) as usize];
             if let InstState::Executing { done_at } = e.state {
                 if done_at <= cycle {
                     e.state = InstState::Completed;
@@ -678,12 +694,7 @@ impl<S: InstructionStream> Cpu<S> {
         let mut mispredicted_branch: Option<u64> = None;
         let predictor = &mut self.predictor;
         for &seq in &completing {
-            let front = self
-                .rob
-                .front()
-                .expect("completing entries are in the window")
-                .seq;
-            let e = &mut self.rob[(seq - front) as usize];
+            let e = &mut self.rob[(seq & self.rob_mask) as usize];
             debug_assert_eq!(e.seq, seq);
             e.state = InstState::Completed;
             events.completed += 1;
@@ -712,12 +723,12 @@ impl<S: InstructionStream> Cpu<S> {
 
     fn commit(&mut self, events: &mut CycleEvents) {
         let mut committed = 0;
-        while committed < self.config.commit_width {
-            let Some(front) = self.rob.front() else { break };
-            if front.state != InstState::Completed {
+        while committed < self.config.commit_width && self.rob_head < self.next_seq {
+            let e = self.rob[self.slot(self.rob_head)];
+            if e.state != InstState::Completed {
                 break;
             }
-            let e = self.rob.pop_front().expect("front exists");
+            self.rob_head += 1;
             if e.inst.op.is_mem() {
                 self.lsq_occupancy -= 1;
                 if e.inst.op == OpClass::Store {
@@ -751,7 +762,7 @@ impl<S: InstructionStream> Cpu<S> {
         self.issue(&controls, &mut events);
         self.dispatch(&mut events);
         self.fetch(&controls, &mut events);
-        events.rob_occupancy = self.rob.len() as u32;
+        events.rob_occupancy = self.rob_len() as u32;
         events.phantom = controls.phantom;
         self.cycle += 1;
         self.stats.absorb(&events);
@@ -863,7 +874,7 @@ impl<S: InstructionStream> Cpu<S> {
     pub fn debug_state(&self) -> String {
         format!(
             "rob={} fb={} replay={} lsq={} redirect={} ifetch={} committed={}",
-            self.rob.len(),
+            self.rob_len(),
             self.fetch_buffer.len(),
             self.replay.len(),
             self.lsq_occupancy,
@@ -1094,12 +1105,28 @@ mod tests {
         // A stream mixing dependences, loads that miss, divides, and
         // mispredicting branches, under controls that exercise width
         // limits, port limits, stalls, and the damping cap: both
-        // schedulers must agree cycle-for-cycle.
+        // schedulers must agree cycle-for-cycle. Besides Table 1's
+        // 128-entry window (a power of two), windows of 96 and 200 entries
+        // under the predictor branch model exercise the ROB ring's capacity
+        // rounding, its wrap, and squashes across the wrap.
+        schedulers_agree(CpuConfig::isca04_table1());
+        for rob_entries in [96, 200] {
+            let mut config = CpuConfig::isca04_table1();
+            config.rob_entries = rob_entries;
+            config.branch_model = BranchModel::Predictor {
+                kind: crate::branch::PredictorKind::Bimodal,
+                entries: 64,
+            };
+            schedulers_agree(config);
+        }
+    }
+
+    fn schedulers_agree(config: CpuConfig) {
         let mut n = 0u64;
         let stream = move || {
             n += 1;
             match n % 11 {
-                0 => SynthInst::branch(n.is_multiple_of(33)),
+                0 => SynthInst::branch(n.is_multiple_of(33)).with_taken(n % 7 < 3),
                 1 | 2 => SynthInst::load((n * (1 << 14)) % (1 << 28), (n % 5) as u32),
                 3 => SynthInst {
                     op: OpClass::IntDiv,
@@ -1119,12 +1146,14 @@ mod tests {
             },
             _ => PipelineControls::free(),
         };
-        let mut event = Cpu::with_scan_mode(CpuConfig::isca04_table1(), stream, ScanMode::Event);
-        let mut scan = Cpu::with_scan_mode(CpuConfig::isca04_table1(), stream, ScanMode::FullScan);
+        let mut event = Cpu::with_scan_mode(config, stream, ScanMode::Event);
+        let mut scan = Cpu::with_scan_mode(config, stream, ScanMode::FullScan);
+        let mut max_occupancy = 0;
         for cycle in 0..30_000 {
             let a = event.tick(controls(cycle));
             let b = scan.tick(controls(cycle));
             assert_eq!(a, b, "cycle {cycle} events diverged");
+            max_occupancy = max_occupancy.max(a.rob_occupancy);
         }
         assert_eq!(event.stats(), scan.stats());
         assert!(
@@ -1132,6 +1161,10 @@ mod tests {
             "stream must make progress"
         );
         assert!(event.stats().mispredicts > 10, "squashes must be exercised");
+        assert_eq!(
+            max_occupancy, config.rob_entries,
+            "the window must fill to its configured size, not the ring's"
+        );
     }
 
     #[test]

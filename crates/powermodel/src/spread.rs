@@ -9,6 +9,10 @@
 
 /// A ring buffer of future per-cycle activity contributions for one
 /// structure.
+///
+/// Slots are found without division: `head < n` and every offset is
+/// clamped below `n`, so `head + offset < 2n` and one compare-and-subtract
+/// gives the slot `(head + offset) % n` would.
 #[derive(Debug, Clone)]
 pub struct ActivitySpreader {
     ring: Vec<f64>,
@@ -39,7 +43,10 @@ impl ActivitySpreader {
         let n = self.ring.len();
         for k in 0..duration {
             let offset = ((delay + k) as usize).min(n - 1);
-            let slot = (self.head + offset) % n;
+            let mut slot = self.head + offset;
+            if slot >= n {
+                slot -= n;
+            }
             self.ring[slot] += per_cycle;
         }
     }
@@ -48,7 +55,10 @@ impl ActivitySpreader {
     pub fn drain_cycle(&mut self) -> f64 {
         let v = self.ring[self.head];
         self.ring[self.head] = 0.0;
-        self.head = (self.head + 1) % self.ring.len();
+        self.head += 1;
+        if self.head == self.ring.len() {
+            self.head = 0;
+        }
         v
     }
 
@@ -61,6 +71,66 @@ impl ActivitySpreader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The `%`-indexed spreader the division-free ring replaced, kept as
+    /// the oracle of the equivalence property.
+    struct ModuloSpreader {
+        ring: Vec<f64>,
+        head: usize,
+    }
+
+    impl ModuloSpreader {
+        fn schedule(&mut self, delay: u32, duration: u32, amount: f64) {
+            let duration = duration.max(1);
+            let per_cycle = amount / duration as f64;
+            let n = self.ring.len();
+            for k in 0..duration {
+                let offset = ((delay + k) as usize).min(n - 1);
+                let slot = (self.head + offset) % n;
+                self.ring[slot] += per_cycle;
+            }
+        }
+
+        fn drain_cycle(&mut self) -> f64 {
+            let v = self.ring[self.head];
+            self.ring[self.head] = 0.0;
+            self.head = (self.head + 1) % self.ring.len();
+            v
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random schedules — delays and durations reaching past the
+        /// horizon, so the clamp is exercised — drain the same bits from
+        /// the division-free ring as from the `%`-indexed oracle, drain by
+        /// drain.
+        #[test]
+        fn division_free_ring_matches_the_modulo_oracle(
+            horizon in 1usize..130,
+            ops in prop::collection::vec(
+                (0u32..200, 0u32..120, 0.0f64..50.0, 0u32..4),
+                1..300,
+            ),
+        ) {
+            let mut fast = ActivitySpreader::new(horizon);
+            let mut oracle = ModuloSpreader { ring: vec![0.0; horizon], head: 0 };
+            for (i, &(delay, duration, amount, drains)) in ops.iter().enumerate() {
+                fast.schedule(delay, duration, amount);
+                oracle.schedule(delay, duration, amount);
+                for d in 0..drains {
+                    let (got, want) = (fast.drain_cycle(), oracle.drain_cycle());
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "op {} drain {}", i, d);
+                }
+            }
+            for d in 0..=horizon {
+                let (got, want) = (fast.drain_cycle(), oracle.drain_cycle());
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "final drain {}", d);
+            }
+        }
+    }
 
     #[test]
     fn immediate_single_cycle_delivery() {

@@ -8,8 +8,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 use restune::obs::{self, JsonValue};
 use restune::{
-    run, run_suite_supervised, run_supervised, FaultPlan, SimConfig, SupervisorConfig, Technique,
-    TuningConfig,
+    run, run_suite_supervised, run_supervised, DampingConfig, FaultPlan, SensorConfig, SimConfig,
+    SupervisorConfig, Technique, TuningConfig,
 };
 use workloads::spec2k;
 
@@ -213,27 +213,38 @@ proptest! {
 
     /// Property: whatever the workload, budget, and technique, installing a
     /// trace sink never changes the simulated result (thread tier; the
-    /// process tier pins the same property on a fixed case above).
+    /// process tier pins the same property on a fixed case above). The
+    /// techniques cover every supply-flush shape: batched (base, tuning,
+    /// damping) and one-cycle (the sensor). An untraced supervised run,
+    /// which attaches no observer and builds no per-cycle records, gives
+    /// the same result too.
     #[test]
     fn tracing_leaves_results_bit_exact(
         app_idx in 0usize..4,
         n in 5_000u64..20_000,
-        tuned in 0u8..2,
     ) {
         let apps = ["gzip", "swim", "mcf", "parser"];
         let p = spec2k::by_name(apps[app_idx]).unwrap();
         let sim = SimConfig::isca04(n);
-        let technique = if tuned == 1 {
-            Technique::Tuning(TuningConfig::isca04_table1(100))
-        } else {
-            Technique::Base
-        };
-        let reference = run(&p, &technique, &sim);
-        let (traced, lines) =
-            with_captured_trace(|| run_supervised(&p, &technique, &sim, &[], None));
-        prop_assert_eq!(traced.result, reference);
-        for line in &lines {
-            prop_assert!(obs::validate_line(line).is_ok(), "bad line: {}", line);
+        for technique in [
+            Technique::Base,
+            Technique::Tuning(TuningConfig::isca04_table1(100)),
+            Technique::Sensor(SensorConfig::table4(20.0, 10.0, 5)),
+            Technique::Damping(DampingConfig::isca04_table5(0.5)),
+        ] {
+            let reference = run(&p, &technique, &sim);
+            let (traced, lines) =
+                with_captured_trace(|| run_supervised(&p, &technique, &sim, &[], None));
+            prop_assert_eq!(traced.result, reference, "{} traced", technique.name());
+            prop_assert!(!lines.is_empty(), "the traced run must emit events");
+            for line in &lines {
+                prop_assert!(obs::validate_line(line).is_ok(), "bad line: {}", line);
+            }
+            let untraced = restune::testenv::with_env(&[("RESTUNE_TRACE", None)], || {
+                assert!(!obs::trace_enabled(), "no sink may be installed");
+                run_supervised(&p, &technique, &sim, &[], None)
+            });
+            prop_assert_eq!(untraced.result, reference, "{} untraced", technique.name());
         }
     }
 }
