@@ -183,6 +183,11 @@ for path in sys.argv[1:]:
     for key in ("mode", "batch_size", "benchmarks", "table3_suite"):
         assert key in doc, f"{path}: missing top-level key {key!r}"
     assert doc["benchmarks"], f"{path}: no benchmark rows"
+    for side in ("fused", "reference"):
+        setup = [r for r in doc["benchmarks"] if (r["name"], r["path"]) == ("setup", side)]
+        assert len(setup) == 1, f"{path}: expected one setup/{side} row"
+        assert setup[0]["instructions_per_run"] == 1, \
+            f"{path}: setup/{side} must time one-instruction runs"
     for row in doc["benchmarks"]:
         for key in ("name", "path", "instructions_per_run", "runs", "cycles",
                     "passes", "wall_seconds", "wall_seconds_q1", "wall_seconds_q3",

@@ -8,7 +8,11 @@
 //!   cycles/second;
 //! * **table3 suite** — the Table 3 workload shape (every SPEC2K app under
 //!   the base machine and the 100-cycle tuning point), reported as suite
-//!   wall time and aggregate cycles/second.
+//!   wall time and aggregate cycles/second;
+//! * **setup** — the same runs cut to one instruction each, so a pass is
+//!   nearly all per-run fixed cost (building and warming the CPU, power
+//!   model, supply and controller); a run's set-up is its pass time over
+//!   its `runs`.
 //!
 //! Every row is measured the same way: one untimed warm-up pass per path
 //! (which also fixes the deterministic cycle count), then [`FULL_ROUNDS`]
@@ -33,6 +37,8 @@ use workloads::{spec2k, WorkloadProfile};
 /// Instructions per run at full measurement scale.
 const FULL_SINGLE: u64 = 40_000;
 const FULL_SUITE: u64 = 20_000;
+/// Instructions per run of the `setup` row: one, so it times the fixed cost.
+const SETUP_INSTRUCTIONS: u64 = 1;
 /// Timed passes per path and row at full measurement scale.
 const FULL_ROUNDS: usize = 11;
 /// Instructions per run in `--test` (smoke) mode.
@@ -99,6 +105,11 @@ impl Point {
 
     fn ns_per_cycle(&self) -> f64 {
         self.wall().median * 1e9 / self.cycles as f64
+    }
+
+    /// Median wall time per run, in microseconds.
+    fn us_per_run(&self) -> f64 {
+        self.wall().median * 1e6 / self.runs as f64
     }
 }
 
@@ -279,6 +290,8 @@ fn main() {
     // engine spreads runs across its worker pool, but that is a scheduling
     // concern this kernel benchmark deliberately excludes.
     let suite = table3_suite(apps);
+    let setup = SimConfig::isca04(SETUP_INSTRUCTIONS);
+    points.extend(measure_alternating("setup", &suite, &setup, rounds));
     let [fused, reference] = measure_alternating("table3_suite", &suite, &sim_suite, rounds);
 
     let speedup = fused.cycles_per_second().median / reference.cycles_per_second().median;
@@ -292,7 +305,8 @@ fn main() {
     for p in &points {
         let rate = p.cycles_per_second();
         println!(
-            "  {:13} {:9}: {:8.1} ns/cycle, {:11.0} cycles/s [{:.0}, {:.0}] ({} runs, {:.3} s)",
+            "  {:13} {:9}: {:8.1} ns/cycle, {:11.0} cycles/s [{:.0}, {:.0}] \
+             ({} runs, {:.3} s, {:.1} us/run)",
             p.name,
             p.path,
             p.ns_per_cycle(),
@@ -301,6 +315,7 @@ fn main() {
             rate.q3,
             p.runs,
             p.wall().median,
+            p.us_per_run(),
         );
     }
     println!(

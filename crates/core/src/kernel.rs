@@ -22,8 +22,10 @@
 //! so the kernel is bit-exact with [`crate::sim`]'s pre-kernel path (pinned
 //! by the golden-trace fixtures and the property suite). Workload decode is
 //! shared across runs of the same application via
-//! [`workloads::shared_stream`], and the CPU uses the event-driven
-//! scheduler ([`cpusim::ScanMode::Event`]).
+//! [`workloads::shared_stream`], each run's caches start as a clone of the
+//! process's warmed image of their geometry ([`workloads::warmed_caches`];
+//! the reference loop still walks the warm sets itself), and the CPU uses
+//! the event-driven scheduler ([`cpusim::ScanMode::Event`]).
 //!
 //! The batch length is the constant [`FLUSH_BATCH`]. It cannot change
 //! results ([`run_with_batch`] and the batch-invariance property tests pin
@@ -36,7 +38,7 @@ use cpusim::{Cpu, CycleEvents, PipelineControls};
 use powermodel::{EnergyMeter, PowerModel};
 use rlc::units::{Amps, Volts};
 use rlc::PowerSupply;
-use workloads::{shared_stream, stream::warm_caches, WorkloadProfile};
+use workloads::{shared_stream, warmed_caches, WorkloadProfile};
 
 use crate::fault::{FaultRuntime, FaultSignal};
 use crate::sim::{
@@ -152,8 +154,8 @@ pub(crate) fn run_fused(
     deadline: Option<Instant>,
 ) -> (SimResult, u64) {
     let power_cfg = effective_power_config(technique, sim);
-    let mut cpu = Cpu::new(sim.cpu, shared_stream(profile, sim.instructions));
-    warm_caches(&mut cpu);
+    let stream = shared_stream(profile, sim.instructions);
+    let mut cpu = Cpu::with_caches(sim.cpu, stream, warmed_caches(&sim.cpu));
     let mut model = PowerModel::new(power_cfg, sim.cpu);
     let idle = power_cfg.idle_current;
     let mut supply = PowerSupply::new(sim.supply, sim.clock, idle);
@@ -323,12 +325,41 @@ mod tests {
     use crate::{DampingConfig, SensorConfig};
     use workloads::spec2k;
 
-    fn paths_agree(technique: Technique) {
+    fn paths_agree_at(technique: &Technique, sim: &SimConfig) -> SimResult {
         let p = spec2k::by_name("swim").unwrap();
-        let sim = SimConfig::isca04(30_000);
-        let fused = run_on_path(&p, &technique, &sim, EnginePath::Fused);
-        let reference = run_on_path(&p, &technique, &sim, EnginePath::Reference);
+        let fused = run_on_path(&p, technique, sim, EnginePath::Fused);
+        let reference = run_on_path(&p, technique, sim, EnginePath::Reference);
         assert_eq!(fused, reference, "paths diverged for {}", technique.name());
+        fused
+    }
+
+    fn paths_agree(technique: Technique) {
+        paths_agree_at(&technique, &SimConfig::isca04(30_000));
+    }
+
+    /// The fused run starts from its geometry's cached image, the reference
+    /// walks the warm sets into fresh caches: at a 256 KiB 4-way L2, which
+    /// the warm set overflows, and 32-byte L1D lines they must still agree.
+    #[test]
+    fn fused_matches_reference_at_another_cache_geometry() {
+        let table1 = SimConfig::isca04(30_000);
+        let mut sim = table1;
+        sim.cpu.l2 = cpusim::CacheConfig {
+            size_bytes: 256 * 1024,
+            ways: 4,
+            line_bytes: 64,
+            latency: 12,
+        };
+        sim.cpu.l1d.line_bytes = 32;
+        let swim = spec2k::by_name("swim").unwrap();
+        for technique in [
+            Technique::Base,
+            Technique::Tuning(TuningConfig::isca04_table1(100)),
+        ] {
+            let small = paths_agree_at(&technique, &sim);
+            let full = run_on_path(&swim, &technique, &table1, EnginePath::Fused);
+            assert_ne!(small.cycles, full.cycles, "the geometry must reach the run");
+        }
     }
 
     #[test]

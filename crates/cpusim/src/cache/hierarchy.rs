@@ -1,7 +1,7 @@
 //! The two-level cache hierarchy plus main memory.
 
 use super::set_assoc::SetAssocCache;
-use crate::config::CpuConfig;
+use crate::config::{CacheGeometry, CpuConfig};
 
 /// Which level serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,7 +25,10 @@ pub struct AccessResult {
 }
 
 /// L1I + L1D + unified L2 + memory.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the full state: every tag and LRU stamp, each level's
+/// access tick, and every counter.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheHierarchy {
     l1i: SetAssocCache,
     l1d: SetAssocCache,
@@ -48,6 +51,17 @@ impl CacheHierarchy {
         }
     }
 
+    /// The geometry this hierarchy was built for.
+    pub fn geometry(&self) -> CacheGeometry {
+        CacheGeometry {
+            l1i: *self.l1i.config(),
+            l1d: *self.l1d.config(),
+            l2: *self.l2.config(),
+            memory_latency: self.memory_latency,
+        }
+    }
+
+    #[inline]
     fn access_through(
         l1: &mut SetAssocCache,
         l2: &mut SetAssocCache,
@@ -79,6 +93,7 @@ impl CacheHierarchy {
     }
 
     /// A data access (load or store address) at `addr`.
+    #[inline]
     pub fn access_data(&mut self, addr: u64) -> AccessResult {
         Self::access_through(
             &mut self.l1d,
@@ -91,6 +106,7 @@ impl CacheHierarchy {
     }
 
     /// An instruction fetch at `pc`.
+    #[inline]
     pub fn access_inst(&mut self, pc: u64) -> AccessResult {
         Self::access_through(
             &mut self.l1i,

@@ -9,7 +9,10 @@ const INVALID: u64 = u64::MAX;
 
 /// A set-associative cache array. Stores only tags (the simulator never needs
 /// data values), with per-set true-LRU replacement.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the full state: geometry, every tag and LRU stamp, the
+/// access tick, and the counters.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SetAssocCache {
     config: CacheConfig,
     sets_mask: u64,
@@ -69,6 +72,7 @@ impl SetAssocCache {
 
     /// Accesses `addr`: returns `true` on hit. On a miss the line is filled,
     /// evicting the LRU way. Statistics are updated.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.accesses += 1;

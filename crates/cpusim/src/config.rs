@@ -4,7 +4,7 @@ use crate::branch::BranchModel;
 use crate::memsys::MemorySystemConfig;
 
 /// Configuration of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -29,6 +29,22 @@ impl CacheConfig {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
     }
+}
+
+/// Everything a [`crate::cache::CacheHierarchy`]'s behaviour depends on
+/// besides its contents: the three cache geometries and the memory latency.
+/// Hierarchies of one geometry that see the same accesses end in the same
+/// state, so a warmed hierarchy can be shared by every CPU of that geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheGeometry {
+    /// L1 instruction cache.
+    pub l1i: CacheConfig,
+    /// L1 data cache.
+    pub l1d: CacheConfig,
+    /// Unified L2 cache.
+    pub l2: CacheConfig,
+    /// Main-memory latency in cycles (beyond L2).
+    pub memory_latency: u32,
 }
 
 /// Functional-unit pool sizes (Table 1: 8 int ALU, 2 int mul/div, 4 FP ALU,
@@ -154,6 +170,16 @@ impl CpuConfig {
             },
             branch_model: BranchModel::Profile,
             memory_system: None,
+        }
+    }
+
+    /// The cache hierarchy this configuration describes.
+    pub fn cache_geometry(&self) -> CacheGeometry {
+        CacheGeometry {
+            l1i: self.l1i,
+            l1d: self.l1d,
+            l2: self.l2,
+            memory_latency: self.memory_latency,
         }
     }
 

@@ -48,6 +48,7 @@ pub struct PipelineControls {
 
 impl PipelineControls {
     /// Unrestricted execution.
+    #[inline]
     pub fn free() -> Self {
         Self::default()
     }
@@ -74,6 +75,7 @@ impl PipelineControls {
     }
 
     /// `true` when any restriction is active.
+    #[inline]
     pub fn is_restricted(&self) -> bool {
         *self != Self::default()
     }

@@ -159,6 +159,43 @@ impl<S: InstructionStream> Cpu<S> {
     /// Panics if `config` is inconsistent (see [`CpuConfig::validate`]).
     pub fn with_scan_mode(config: CpuConfig, stream: S, scan: ScanMode) -> Self {
         config.validate();
+        let caches = CacheHierarchy::new(&config);
+        Self::assemble(config, stream, scan, caches)
+    }
+
+    /// Creates a core (event-driven scheduling, like [`Cpu::new`]) whose
+    /// caches start as `caches` instead of empty: the way to start a run
+    /// from an already warmed hierarchy without building an empty one first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is inconsistent (see [`CpuConfig::validate`]), or
+    /// if `caches` was built for another geometry than `config`'s; the
+    /// message names the level that differs.
+    pub fn with_caches(config: CpuConfig, stream: S, caches: CacheHierarchy) -> Self {
+        config.validate();
+        let (have, want) = (caches.geometry(), config.cache_geometry());
+        for (level, have, want) in [
+            ("L1I", have.l1i, want.l1i),
+            ("L1D", have.l1d, want.l1d),
+            ("L2", have.l2, want.l2),
+        ] {
+            assert!(
+                have == want,
+                "Cpu::with_caches: the hierarchy's {level} is {have:?}, the CPU config's is {want:?}"
+            );
+        }
+        assert!(
+            have.memory_latency == want.memory_latency,
+            "Cpu::with_caches: the hierarchy's memory latency is {} cycles, the CPU config's is {}",
+            have.memory_latency,
+            want.memory_latency
+        );
+        Self::assemble(config, stream, ScanMode::default(), caches)
+    }
+
+    /// Builds a core around a validated `config` and its `caches`.
+    fn assemble(config: CpuConfig, stream: S, scan: ScanMode, caches: CacheHierarchy) -> Self {
         let miss_tracker = config.memory_system.map(MissTracker::new);
         let predictor = match config.branch_model {
             BranchModel::Profile => None,
@@ -175,7 +212,7 @@ impl<S: InstructionStream> Cpu<S> {
         Self {
             miss_tracker,
             predictor,
-            caches: CacheHierarchy::new(&config),
+            caches,
             rob: vec![stale; ring as usize],
             rob_mask: ring - 1,
             rob_head: 0,
@@ -810,6 +847,7 @@ struct IssuePicker {
 }
 
 impl IssuePicker {
+    #[inline]
     fn consider(&mut self, op: OpClass) -> Verdict {
         if self.issued >= self.width {
             return Verdict::Stop;
@@ -858,6 +896,7 @@ impl IssuePicker {
 /// machine's full dynamic current range (≈70 A above idle at 8-wide issue),
 /// making δ directly comparable to the resonant current variation
 /// threshold.
+#[inline]
 pub fn apriori_issue_current(op: OpClass) -> f64 {
     const UNIT: f64 = 3.0;
     match op {
@@ -892,6 +931,41 @@ mod tests {
 
     fn cpu_with(body: Vec<SynthInst>) -> Cpu<LoopStream> {
         Cpu::new(CpuConfig::isca04_table1(), LoopStream::new(body))
+    }
+
+    fn alu_loop() -> LoopStream {
+        LoopStream::new(vec![SynthInst::int_alu()])
+    }
+
+    #[test]
+    fn with_caches_starts_from_the_given_contents() {
+        let config = CpuConfig::isca04_table1();
+        let mut caches = CacheHierarchy::new(&config);
+        caches.access_data(0x1000);
+        caches.reset_stats();
+        let cpu = Cpu::with_caches(config, alu_loop(), caches.clone());
+        assert!(cpu.caches() == &caches);
+        assert!(cpu.caches().l1d().contains(0x1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "the hierarchy's L2 is")]
+    fn with_caches_rejects_a_hierarchy_of_another_geometry() {
+        let table1 = CpuConfig::isca04_table1();
+        let mut other = table1;
+        other.l2.size_bytes = 256 * 1024;
+        let _ = Cpu::with_caches(table1, alu_loop(), CacheHierarchy::new(&other));
+    }
+
+    #[test]
+    #[should_panic(expected = "the hierarchy's memory latency is 120 cycles")]
+    fn with_caches_rejects_a_hierarchy_of_another_memory_latency() {
+        let table1 = CpuConfig::isca04_table1();
+        let other = CpuConfig {
+            memory_latency: 120,
+            ..table1
+        };
+        let _ = Cpu::with_caches(table1, alu_loop(), CacheHierarchy::new(&other));
     }
 
     #[test]

@@ -45,11 +45,13 @@ impl OpClass {
     ];
 
     /// `true` for loads and stores.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(self, OpClass::Load | OpClass::Store)
     }
 
     /// A dense index for per-class arrays.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             OpClass::IntAlu => 0,

@@ -55,7 +55,7 @@ pub mod stats;
 
 pub use crate::core::{apriori_issue_current, Cpu, ScanMode};
 pub use branch::{BranchModel, BranchPredictor, PredictorKind};
-pub use config::{CacheConfig, CpuConfig, FuConfig, LatencyConfig};
+pub use config::{CacheConfig, CacheGeometry, CpuConfig, FuConfig, LatencyConfig};
 pub use control::{PhantomLevel, PipelineControls};
 pub use isa::{InstructionStream, OpClass, SynthInst};
 pub use memsys::{MemorySystemConfig, MissTracker};

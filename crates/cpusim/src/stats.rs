@@ -35,11 +35,13 @@ pub struct CycleEvents {
 
 impl CycleEvents {
     /// Total instructions issued this cycle across all classes.
+    #[inline]
     pub fn issued_total(&self) -> u32 {
         self.issued.iter().sum()
     }
 
     /// Issued count for one class.
+    #[inline]
     pub fn issued_of(&self, op: OpClass) -> u32 {
         self.issued[op.index()]
     }
@@ -81,6 +83,7 @@ impl RunStats {
     }
 
     /// Folds one cycle's events into the aggregate.
+    #[inline]
     pub fn absorb(&mut self, ev: &CycleEvents) {
         self.cycles += 1;
         self.committed += ev.committed as u64;

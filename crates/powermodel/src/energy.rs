@@ -39,6 +39,7 @@ impl EnergyMeter {
     }
 
     /// Records one cycle at the given current.
+    #[inline]
     pub fn record(&mut self, current: Amps) {
         self.joules += current.amps() * self.vdd.volts() * self.cycle_time;
         self.cycles += 1;

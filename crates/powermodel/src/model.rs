@@ -114,6 +114,12 @@ pub struct PowerModel {
     mem_spread: ActivitySpreader,
     fu_spread: ActivitySpreader,
     detector_enabled: bool,
+    /// `power.weights.total()`, the activity normaliser.
+    norm: f64,
+    /// `power.dynamic_range()` in amps.
+    range: f64,
+    /// `range / norm`: amps per unit of weighted activity.
+    scale: f64,
 }
 
 impl PowerModel {
@@ -126,8 +132,13 @@ impl PowerModel {
         power.validate();
         cpu.validate();
         let horizon = (cpu.memory_latency + cpu.l2.latency + cpu.l1d.latency + 2) as usize;
+        let norm = power.weights.total();
+        let range = power.dynamic_range().amps();
         Self {
             detector_enabled: power.detector_overhead.amps() > 0.0,
+            norm,
+            range,
+            scale: range / norm,
             power,
             cpu,
             l1d_spread: ActivitySpreader::new(horizon),
@@ -151,6 +162,7 @@ impl PowerModel {
     /// [`PowerModel::breakdown_for`] — the total is fully determined before
     /// any per-structure attribution — but skips assembling the 13-entry
     /// [`CurrentBreakdown`], which the per-cycle hot loop never reads.
+    #[inline]
     pub fn current_for(&mut self, ev: &CycleEvents) -> Amps {
         Amps::new(self.step(ev).total)
     }
@@ -210,9 +222,10 @@ impl PowerModel {
     /// Advances the model by one cycle: schedules this cycle's spread
     /// activity, drains the spreaders, and computes the chip current. The
     /// single implementation behind both `current_for` and `breakdown_for`.
+    #[inline]
     fn step(&mut self, ev: &CycleEvents) -> ModelStep {
         let w = self.power.weights;
-        let norm = w.total();
+        let norm = self.norm;
         let cpu = self.cpu;
 
         // Schedule the spread portions of this cycle's new events.
@@ -283,8 +296,7 @@ impl PowerModel {
         let fu_busy = a_int_mul;
         let a_fp = fu_busy;
 
-        let range = self.power.dynamic_range().amps();
-        let scale = range / norm;
+        let (range, scale) = (self.range, self.scale);
         let contributions = [
             w.fetch * a_fetch,
             w.dispatch * a_dispatch,
@@ -338,6 +350,7 @@ impl PowerModel {
     }
 
     /// Drains the shared long-latency FU spreader for this cycle.
+    #[inline]
     fn fu_spread_take_placeholder(&mut self) -> f64 {
         self.fu_spread.drain_cycle()
     }

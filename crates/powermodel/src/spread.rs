@@ -36,6 +36,7 @@ impl ActivitySpreader {
     /// Schedules `amount` of activity spread evenly over `duration` cycles
     /// beginning `delay` cycles from now. Contributions beyond the horizon
     /// are clamped to the last slot (never dropped, so energy is conserved).
+    #[inline]
     pub fn schedule(&mut self, delay: u32, duration: u32, amount: f64) {
         debug_assert!(amount >= 0.0, "activity must be non-negative");
         let duration = duration.max(1);
@@ -52,6 +53,7 @@ impl ActivitySpreader {
     }
 
     /// Pops the activity that lands in the current cycle and advances time.
+    #[inline]
     pub fn drain_cycle(&mut self) -> f64 {
         let v = self.ring[self.head];
         self.ring[self.head] = 0.0;

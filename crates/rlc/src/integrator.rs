@@ -185,6 +185,7 @@ impl PreparedStep {
     /// [`IntegrationError::NonFiniteState`] or [`IntegrationError::BlowUp`]
     /// when both the full step and the halved retry produce an unusable
     /// state.
+    #[inline]
     pub fn advance(
         &self,
         state: SupplyState,
@@ -212,6 +213,7 @@ impl PreparedStep {
         Ok(full)
     }
 
+    #[inline]
     fn raw(&self, state: SupplyState, i_start: f64, i_end: f64, h: f64) -> SupplyState {
         raw_step_coeffs(
             self.c,
@@ -226,6 +228,7 @@ impl PreparedStep {
     }
 }
 
+#[inline]
 fn check_state(s: SupplyState) -> Result<(), IntegrationError> {
     if !s.v.is_finite() || !s.i_l.is_finite() {
         return Err(IntegrationError::NonFiniteState { v: s.v, i_l: s.i_l });

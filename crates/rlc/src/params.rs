@@ -121,6 +121,7 @@ impl SupplyParams {
     }
 
     /// Power-supply series impedance R.
+    #[inline]
     pub fn resistance(&self) -> Ohms {
         self.resistance
     }
@@ -142,6 +143,7 @@ impl SupplyParams {
 
     /// Absolute noise margin: a supply deviation beyond ±margin is a
     /// noise-margin violation.
+    #[inline]
     pub fn noise_margin(&self) -> Volts {
         self.noise_margin
     }

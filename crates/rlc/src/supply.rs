@@ -154,6 +154,7 @@ impl PowerSupply {
     /// holding the `k` completed cycles and the supply state exactly as a
     /// serial loop would leave it after cycle `k - 1`: cycle `k` itself is
     /// untouched and may be replayed with a sanitized current.
+    #[inline]
     pub fn try_tick_batch(
         &mut self,
         currents: &[f64],

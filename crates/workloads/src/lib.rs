@@ -46,6 +46,6 @@ pub mod trace;
 
 pub use corpus::CorpusReplay;
 pub use profile::{Episode, OpMix, WorkloadProfile};
-pub use store::{shared_stream, SharedStream};
+pub use store::{shared_stream, warmed_caches, SharedStream};
 pub use stream::StreamGen;
 pub use trace::{RecordedTrace, TraceReplay, TraceSummary};

@@ -2,6 +2,8 @@
 //! an experiment suite that execute the same application — the base and
 //! technique runs of a comparison, retries, sweep points — share one
 //! workload-stream decode pass instead of each re-running the generator.
+//! Beside it sits one warmed cache image per cache geometry
+//! ([`warmed_caches`]), so those runs also share one warm-up walk.
 //!
 //! [`StreamGen`] is deterministic: the instruction at index *k* is a pure
 //! function of the profile. The store exploits that by decoding each
@@ -15,10 +17,12 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use cpusim::cache::CacheHierarchy;
 use cpusim::isa::{InstructionStream, SynthInst};
+use cpusim::{CacheGeometry, CpuConfig};
 
 use crate::profile::WorkloadProfile;
-use crate::stream::StreamGen;
+use crate::stream::{warm_hierarchy, StreamGen};
 
 /// Extra instructions decoded beyond the requested minimum: covers the
 /// in-flight window a consumer reads past its commit target (reorder
@@ -54,6 +58,7 @@ pub struct SharedStream {
 }
 
 impl InstructionStream for SharedStream {
+    #[inline]
     fn next_inst(&mut self) -> SynthInst {
         if let Some(&inst) = self.prefix.get(self.pos) {
             self.pos += 1;
@@ -121,10 +126,114 @@ pub fn shared_stream(profile: &WorkloadProfile, min_instructions: u64) -> Shared
     }
 }
 
+fn images() -> &'static Mutex<HashMap<CacheGeometry, Arc<CacheHierarchy>>> {
+    static IMAGES: OnceLock<Mutex<HashMap<CacheGeometry, Arc<CacheHierarchy>>>> = OnceLock::new();
+    IMAGES.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// Returns caches of `config`'s geometry in exactly the state
+/// [`warm_caches`](crate::stream::warm_caches) leaves a new CPU's caches in:
+/// the warm sets resident, every counter zero.
+///
+/// The first call for a geometry builds the image by that same walk; later
+/// calls — any thread, any run — clone it, which copies the tag and stamp
+/// arrays (544 KiB for Table 1) instead of zero-filling them and walking
+/// 17,664 lines. The lookup holds the lock; the clone and a first build do
+/// not.
+///
+/// # Panics
+///
+/// Panics on a degenerate cache geometry (see [`CacheHierarchy::new`]).
+pub fn warmed_caches(config: &CpuConfig) -> CacheHierarchy {
+    let geometry = config.cache_geometry();
+    let found = images()
+        .lock()
+        .expect("cache image store poisoned")
+        .get(&geometry)
+        .cloned();
+    let image = found.unwrap_or_else(|| {
+        let mut fresh = CacheHierarchy::new(config);
+        warm_hierarchy(&mut fresh);
+        // A racing first build may have landed meanwhile: keep one image.
+        let mut map = images().lock().expect("cache image store poisoned");
+        Arc::clone(map.entry(geometry).or_insert_with(|| Arc::new(fresh)))
+    });
+    CacheHierarchy::clone(&image)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec2k;
+    use crate::stream::warm_caches;
+    use cpusim::isa::LoopStream;
+    use cpusim::{CacheConfig, Cpu};
+
+    /// The caches `warm_caches` leaves a new CPU of `config` with.
+    fn walked(config: &CpuConfig) -> CacheHierarchy {
+        let mut cpu = Cpu::new(*config, LoopStream::new(vec![SynthInst::int_alu()]));
+        warm_caches(&mut cpu);
+        cpu.caches().clone()
+    }
+
+    /// Table 1 with a 256 KiB 4-way L2, which the 1 MiB warm set overflows.
+    fn small_l2() -> CpuConfig {
+        CpuConfig {
+            l2: CacheConfig {
+                size_bytes: 256 * 1024,
+                ways: 4,
+                line_bytes: 64,
+                latency: 12,
+            },
+            ..CpuConfig::isca04_table1()
+        }
+    }
+
+    /// Table 1 with 32-byte L1 lines, half of which the 64-byte walk skips.
+    fn short_l1_lines() -> CpuConfig {
+        let mut config = CpuConfig::isca04_table1();
+        config.l1i.line_bytes = 32;
+        config.l1d.line_bytes = 32;
+        config
+    }
+
+    #[test]
+    fn warmed_image_equals_the_walk_at_every_geometry() {
+        for config in [CpuConfig::isca04_table1(), small_l2(), short_l1_lines()] {
+            let image = warmed_caches(&config);
+            // Full state: tags, LRU stamps, access ticks and counters. Not
+            // `assert_eq!`: a failure would print every tag.
+            assert!(
+                image == walked(&config),
+                "image drifted from the walk at {:?}",
+                config.cache_geometry()
+            );
+            for level in [image.l1i(), image.l1d(), image.l2()] {
+                assert_eq!((level.accesses(), level.misses()), (0, 0));
+            }
+            assert_eq!((image.l2_accesses(), image.memory_accesses()), (0, 0));
+            assert!(image.l1d().contains(crate::stream::layout::L1_BASE));
+        }
+    }
+
+    #[test]
+    fn each_geometry_gets_its_own_image() {
+        let table1 = CpuConfig::isca04_table1();
+        let slow_memory = CpuConfig {
+            memory_latency: 120,
+            ..table1
+        };
+        let first = warmed_caches(&table1);
+        for other in [small_l2(), short_l1_lines(), slow_memory] {
+            let image = warmed_caches(&other);
+            assert_eq!(image.geometry(), other.cache_geometry());
+            assert!(image == walked(&other), "{:?}", other.cache_geometry());
+            assert!(image != first, "a neighbour's image");
+            // Table 1 is still served its own image afterwards.
+            assert!(warmed_caches(&table1) == first);
+        }
+        assert_eq!(first.geometry(), table1.cache_geometry());
+    }
 
     #[test]
     fn shared_stream_matches_fresh_generator_bit_exactly() {

@@ -43,11 +43,18 @@ pub mod layout {
 /// Touches the code region (L1I + L2), the L2-sized data working set (L2),
 /// and finally the L1-sized hot set (L1D), in that order so the hot set
 /// ends most-recently-used everywhere.
+///
+/// Runs usually start from [`crate::warmed_caches`] instead: the same walk,
+/// made once per process and geometry and cloned into each run.
 pub fn warm_caches<S>(cpu: &mut cpusim::Cpu<S>)
 where
     S: InstructionStream,
 {
-    let caches = cpu.caches_mut();
+    warm_hierarchy(cpu.caches_mut());
+}
+
+/// The walk behind [`warm_caches`], on a bare hierarchy.
+pub(crate) fn warm_hierarchy(caches: &mut cpusim::cache::CacheHierarchy) {
     for line in (0..layout::CODE_SIZE).step_by(64) {
         caches.access_inst(layout::CODE_BASE + line);
     }
