@@ -65,27 +65,38 @@ echo "$smoke_out" | grep -q '"injected"' || {
     exit 1
 }
 
-echo "==> chaos smoke (process isolation: abort + SIGKILL workers, bit-exact resume)"
+echo "==> chaos smoke (process isolation: abort + SIGKILL workers, resume from the run store)"
 # Two workers die hard — one aborts, one SIGKILLs itself. Under
 # RESTUNE_ISOLATION=process the suite must contain both crashes to their
 # slots and exit 0 (the plan is enabled, so the failures are the
-# experiment). A second invocation against the same cache dir resumes the
-# checkpoint, heals the crashed applications, and must be bit-identical to
-# an uninterrupted reference run against a fresh cache.
+# experiment). --resume puts every run into the run store under the cache
+# dir the moment it succeeds, so a second invocation against the same cache
+# dir replays the stored runs, heals the crashed applications, and must be
+# bit-identical to an uninterrupted reference run against a fresh cache. A
+# fourth invocation, of the now-complete suite, replays every row. A
+# checkpoint is just the store: the cache dirs hold run-store records and
+# nothing else.
 chaos_dir=$(mktemp -d)
 ref_dir=$(mktemp -d)
+chaos_out=$(mktemp -d)
 RESTUNE_CACHE_DIR="$chaos_dir" RESTUNE_ISOLATION=process \
     ./target/release/suite_check -n 20000 --timeout 60 --resume --json \
-    --fault mcf=abort --fault swim=kill > "$chaos_dir/chaos.json"
+    --fault mcf=abort --fault swim=kill > "$chaos_out/chaos.json"
 RESTUNE_CACHE_DIR="$chaos_dir" RESTUNE_ISOLATION=process \
     ./target/release/suite_check -n 20000 --timeout 60 --resume --json \
-    > "$chaos_dir/resumed.json"
+    > "$chaos_out/resumed.json"
 RESTUNE_CACHE_DIR="$ref_dir" \
     ./target/release/suite_check -n 20000 --timeout 60 --resume --json \
-    > "$ref_dir/reference.json"
-python3 - "$chaos_dir/chaos.json" "$chaos_dir/resumed.json" "$ref_dir/reference.json" <<'EOF'
-import json, sys
-chaos, resumed, reference = (json.load(open(p)) for p in sys.argv[1:])
+    > "$chaos_out/reference.json"
+RESTUNE_CACHE_DIR="$chaos_dir" RESTUNE_ISOLATION=process \
+    ./target/release/suite_check -n 20000 --timeout 60 --resume --json \
+    > "$chaos_out/replayed.json"
+python3 - "$chaos_out" "$chaos_dir" "$ref_dir" <<'EOF'
+import json, os, re, sys
+out, caches = sys.argv[1], sys.argv[2:]
+chaos, resumed, reference, replayed = (
+    json.load(open(f"{out}/{name}.json"))
+    for name in ("chaos", "resumed", "reference", "replayed"))
 failed = [r for r in chaos["failures"] if r["event"] == "failed"]
 assert failed, "chaos run recorded no terminal failures"
 assert {r["app"] for r in failed} == {"mcf", "swim"}, failed
@@ -96,14 +107,28 @@ assert not {"mcf", "swim"} & surviving, surviving
 assert not [r for r in resumed["failures"] if r["event"] == "failed"], \
     "the resumed run must heal the crashed applications"
 replays = sum(1 for r in resumed["run_metrics"] if r["replayed"])
-assert replays, "the resumed run must replay checkpointed applications"
+assert replays, "the resumed run must replay stored applications"
 assert resumed["suite_check"] == reference["suite_check"], \
     "resumed suite must be bit-identical to an uninterrupted reference"
-print(f"chaos ok: {len(failed)} contained crashes, {replays} replayed rows")
+rows = replayed["run_metrics"]
+assert rows and all(r["replayed"] for r in rows), \
+    "a rerun of the completed suite must replay every run_metrics row"
+assert replayed["suite_check"] == reference["suite_check"], \
+    "the replayed suite must be bit-identical to the reference"
+for cache in caches:
+    for root, dirs, files in os.walk(cache):
+        rel = os.path.relpath(root, cache)
+        assert rel in (".", "store"), f"{cache}: unexpected directory {rel!r}"
+        for name in files:
+            path = os.path.normpath(os.path.join(rel, name))
+            assert re.fullmatch(r"store/run-[0-9a-f]{16}\.tsv", path), \
+                f"{cache}: {path!r} is not a run-store record"
+print(f"chaos ok: {len(failed)} contained crashes, {replays} replayed rows on "
+      f"resume, {len(rows)} on rerun; the caches hold run-store records only")
 EOF
 # Long-lived workers: a traced process-tier run on two pool threads, over a
-# copy of the reference run's cache, so the base suite replays its recorded
-# baseline and the tuning suite's runs are the only process-tier jobs. Each
+# copy of the reference run's cache, so the base suite replays from the run
+# store and the tuning suite's runs are the only process-tier jobs. Each
 # pool thread keeps one worker for the whole suite: at most two spawns, and
 # every other job goes to a reused worker. The report must match the
 # in-process reference.
@@ -111,8 +136,8 @@ reuse_dir=$(mktemp -d)
 cp -R "$ref_dir/." "$reuse_dir/"
 RESTUNE_CACHE_DIR="$reuse_dir" RESTUNE_ISOLATION=process RESTUNE_WORKERS=2 \
     ./target/release/suite_check -n 20000 --json \
-    --trace-out "$reuse_dir/trace.jsonl" > "$reuse_dir/reused.json"
-python3 - "$reuse_dir/reused.json" "$ref_dir/reference.json" "$reuse_dir/trace.jsonl" <<'EOF'
+    --trace-out "$chaos_out/trace.jsonl" > "$chaos_out/reused.json"
+python3 - "$chaos_out/reused.json" "$chaos_out/reference.json" "$chaos_out/trace.jsonl" <<'EOF'
 import json, sys
 reused, reference = (json.load(open(p)) for p in sys.argv[1:3])
 assert reused["suite_check"] == reference["suite_check"], \

@@ -3,7 +3,7 @@
 //!
 //! This is also the supervision smoke harness: `--faults SEED` injects a
 //! deterministic fault plan, `--timeout SECS` arms the watchdog, and
-//! `--resume` checkpoints completed applications. Under an active policy
+//! `--resume` stores completed applications. Under an active policy
 //! the sweep degrades gracefully — failed applications are reported, the
 //! rest still print — and the process exits 0 as long as every failure was
 //! injected (a clean run that fails still exits 1).

@@ -24,9 +24,9 @@ usage: sweep [--grid KEY=VALUES]... [harness options]
                       defaults: workloads=spec2k pdn=1.0 tuning=100
                       (instructions defaults to the harness -n value)
 
-  All harness options apply; --resume checkpoints suites so an
-  interrupted sweep resumes bit-identically, and --connect fans runs out
-  across a restuned mesh.
+  All harness options apply, and --connect fans runs out across a
+  restuned mesh. Every completed run is stored as it finishes, so an
+  interrupted sweep resumes bit-identically.
 ";
 
 fn main() {

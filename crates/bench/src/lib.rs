@@ -45,8 +45,9 @@ pub const USAGE: &str =
                           contained for real); repeatable
   --timeout SECS          per-application watchdog deadline in seconds
                           (fractions allowed; off by default)
-  --resume                checkpoint completed applications and resume an
-                          interrupted suite from its checkpoint
+  --resume                store every completed application run in the run
+                          store under the cache directory, and replay the
+                          stored ones: an interrupted suite resumes
   --help, -h              print this message";
 
 /// Exit code for malformed command-line arguments.
@@ -66,7 +67,7 @@ pub struct HarnessArgs {
     pub targeted_faults: Vec<(String, restune::FaultSpec)>,
     /// Per-application watchdog deadline in seconds.
     pub timeout_secs: Option<f64>,
-    /// Checkpoint completed applications and resume interrupted suites.
+    /// Read and write the default run store, so interrupted suites resume.
     pub resume: bool,
     /// Write the structured JSON-lines event trace to this path.
     pub trace_out: Option<std::path::PathBuf>,
@@ -165,7 +166,8 @@ impl HarnessArgs {
     }
 
     /// Builds the engine [`restune::RunPolicy`] these options describe: the
-    /// seeded fault plan (or none), the watchdog timeout, and checkpointing.
+    /// seeded fault plan (or none), the watchdog timeout, and the run store
+    /// (`--resume`).
     /// With none of the supervision flags given, the policy is inert and
     /// every harness output is bit-identical to the unsupervised engine.
     pub fn policy(&self) -> restune::RunPolicy {
@@ -181,7 +183,7 @@ impl HarnessArgs {
         restune::RunPolicy {
             supervisor: restune::SupervisorConfig {
                 timeout: self.timeout_secs.map(std::time::Duration::from_secs_f64),
-                resume: self.resume,
+                store: self.resume.then(restune::RunStore::open_default),
                 ..restune::SupervisorConfig::default()
             },
             plan,
@@ -458,14 +460,14 @@ pub fn failure_report_section(reports: &[restune::FailureReport]) -> report::Rep
                 s.detail.as_str().into(),
             ]);
         }
-        if rep.checkpoint_degraded {
+        if rep.store_degraded {
             r.push(vec![
                 rep.scope.as_str().into(),
-                "checkpoint-degraded".into(),
+                "store-degraded".into(),
                 "".into(),
                 "storage".into(),
                 0u64.into(),
-                "a checkpoint write failed; a resume would re-run the unrecorded apps".into(),
+                "a run-store put failed; a resume would re-run the unstored apps".into(),
             ]);
         }
     }
@@ -510,8 +512,8 @@ pub fn print_failure_reports(reports: &[restune::FailureReport]) {
                 if s.recovered { " (recovered)" } else { "" }
             );
         }
-        if rep.checkpoint_degraded {
-            println!("  WARNING   checkpoint writes failed; this suite will not fully resume");
+        if rep.store_degraded {
+            println!("  WARNING   run-store puts failed; this suite will not fully resume");
         }
     }
 }
@@ -794,7 +796,10 @@ mod tests {
             policy.supervisor.timeout,
             Some(std::time::Duration::from_secs_f64(2.5))
         );
-        assert!(policy.supervisor.resume);
+        assert_eq!(
+            policy.supervisor.store,
+            Some(restune::RunStore::open_default())
+        );
         assert!(!policy.is_inert());
     }
 
@@ -885,7 +890,7 @@ mod tests {
             detail: "injected storage-truncate — re-simulated".into(),
             recovered: true,
         });
-        rep.checkpoint_degraded = true;
+        rep.store_degraded = true;
         let section = failure_report_section(&[rep]);
         assert_eq!(section.len(), 5);
         let json = section.to_json();
@@ -894,7 +899,7 @@ mod tests {
             "\"event\": \"recovered\"",
             "\"event\": \"failed\"",
             "\"event\": \"storage-recovered\"",
-            "\"event\": \"checkpoint-degraded\"",
+            "\"event\": \"store-degraded\"",
             "\"scope\": \"tuning-100\"",
             "\"kind\": \"timeout\"",
         ] {

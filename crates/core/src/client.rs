@@ -55,9 +55,8 @@ const BUSY_BUDGET: Duration = Duration::from_secs(60);
 /// Patience for a request with no deadline of its own.
 pub(crate) const NO_DEADLINE_BUDGET: Duration = Duration::from_secs(3600);
 
-/// Default heartbeat cadence on an established connection
-/// (`RESTUNE_HEARTBEAT_SECS` overrides).
-const DEFAULT_HEARTBEAT_SECS: f64 = 1.0;
+/// Heartbeat cadence on an established connection.
+const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
 
 /// Default cap on the reconnect backoff in milliseconds
 /// (`RESTUNE_BACKOFF_CAP_MS` overrides).
@@ -233,22 +232,9 @@ pub(crate) fn ensure_connected(core: &Arc<Core>) -> io::Result<Arc<FramedConn>> 
     Ok(conn)
 }
 
-/// The heartbeat cadence: `RESTUNE_HEARTBEAT_SECS` through the shared
-/// warn-once parser, defaulting to one second. Read per beat so a test can
-/// retune it without tearing the connection down.
-fn heartbeat_every() -> Duration {
-    crate::envcfg::positive_f64(
-        "RESTUNE_HEARTBEAT_SECS",
-        "client",
-        "the default heartbeat interval (1s)",
-    )
-    .map(Duration::from_secs_f64)
-    .unwrap_or(Duration::from_secs_f64(DEFAULT_HEARTBEAT_SECS))
-}
-
 fn heartbeat_loop(conn: &Arc<FramedConn>) {
     while conn.is_alive() {
-        std::thread::sleep(heartbeat_every());
+        std::thread::sleep(HEARTBEAT_EVERY);
         if !conn.is_alive() || conn.write_frame(wire::KIND_HEARTBEAT, &[]).is_err() {
             return;
         }
@@ -666,25 +652,16 @@ mod tests {
     }
 
     #[test]
-    fn backoff_cap_and_heartbeat_read_their_env_knobs() {
+    fn backoff_cap_reads_its_env_knob() {
         with_env(&[("RESTUNE_BACKOFF_CAP_MS", Some("200"))], || {
             assert_eq!(backoff(0), Duration::from_millis(50));
             assert_eq!(backoff(2), Duration::from_millis(200), "tight cap");
             assert_eq!(backoff(9), Duration::from_millis(200));
         });
-        with_env(&[("RESTUNE_HEARTBEAT_SECS", Some("0.25"))], || {
-            assert_eq!(heartbeat_every(), Duration::from_secs_f64(0.25));
-        });
-        with_env(&[("RESTUNE_HEARTBEAT_SECS", None)], || {
-            assert_eq!(heartbeat_every(), Duration::from_secs(1));
-        });
         // Invalid values fall back through the shared warn-once parser.
         crate::envcfg::reset_warnings();
         with_env(&[("RESTUNE_BACKOFF_CAP_MS", Some("not-a-number"))], || {
             assert_eq!(backoff(5), Duration::from_millis(1600));
-        });
-        with_env(&[("RESTUNE_HEARTBEAT_SECS", Some("-3"))], || {
-            assert_eq!(heartbeat_every(), Duration::from_secs(1));
         });
     }
 

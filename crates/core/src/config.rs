@@ -179,7 +179,7 @@ impl TuningConfig {
 }
 
 /// How the supervised experiment engine wraps each application run: watchdog
-/// deadline, bounded-backoff retries, and checkpoint/resume behavior.
+/// deadline, bounded-backoff retries, and the run store it reads and writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Per-run watchdog deadline; `None` disables the watchdog.
@@ -191,12 +191,11 @@ pub struct SupervisorConfig {
     pub backoff_base: std::time::Duration,
     /// Upper bound on any single retry delay.
     pub backoff_cap: std::time::Duration,
-    /// When `true`, completed per-app results are checkpointed to disk and
-    /// an interrupted suite resumes them instead of recomputing.
-    pub resume: bool,
-    /// Override for the checkpoint directory; `None` uses
-    /// `<cache>/checkpoints` next to the baseline cache.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
+    /// The run store the suite reads and writes: a stored application
+    /// replays instead of simulating, and every fresh run is put the moment
+    /// it succeeds, so an interrupted suite resumes from it. `None` (the
+    /// default) persists nothing.
+    pub store: Option<crate::store::RunStore>,
 }
 
 impl Default for SupervisorConfig {
@@ -206,8 +205,7 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             backoff_base: std::time::Duration::from_millis(25),
             backoff_cap: std::time::Duration::from_millis(250),
-            resume: false,
-            checkpoint_dir: None,
+            store: None,
         }
     }
 }
@@ -226,10 +224,10 @@ impl SupervisorConfig {
 
 /// The complete robustness policy for a suite run: supervision parameters
 /// plus the fault-injection plan. The default policy is inert — no faults,
-/// no watchdog, no resume — and is bit-exact-neutral.
+/// no watchdog, no store — and is bit-exact-neutral.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunPolicy {
-    /// Watchdog / retry / resume configuration.
+    /// Watchdog / retry / store configuration.
     pub supervisor: SupervisorConfig,
     /// The fault-injection plan ([`crate::fault::FaultPlan::none`] by
     /// default).
@@ -243,10 +241,12 @@ impl RunPolicy {
     }
 
     /// `true` when this policy changes nothing about how a suite executes:
-    /// no fault plan, no watchdog, no resume. The engine uses this to take
+    /// no fault plan, no watchdog, no store. The engine uses this to take
     /// the exact code path of the unsupervised engine.
     pub fn is_inert(&self) -> bool {
-        !self.plan.is_enabled() && self.supervisor.timeout.is_none() && !self.supervisor.resume
+        !self.plan.is_enabled()
+            && self.supervisor.timeout.is_none()
+            && self.supervisor.store.is_none()
     }
 }
 
@@ -353,5 +353,8 @@ mod supervisor_tests {
             ..RunPolicy::none()
         };
         assert!(!with_plan.is_inert());
+        let mut with_store = RunPolicy::none();
+        with_store.supervisor.store = Some(crate::store::RunStore::open("store".into()));
+        assert!(!with_store.is_inert());
     }
 }

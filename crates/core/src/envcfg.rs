@@ -3,8 +3,7 @@
 //! The integer knobs (`RESTUNE_WORKERS`, `RESTUNE_SERVER_QUEUE`,
 //! `RESTUNE_SERVER_CLIENTS`, `RESTUNE_BACKOFF_CAP_MS`,
 //! `RESTUNE_STORE_MAX_BYTES`) and the seconds knobs
-//! (`RESTUNE_SERVER_DEADLINE`, `RESTUNE_HEARTBEAT_SECS`,
-//! `RESTUNE_CKPT_MAX_AGE_SECS`, `RESTUNE_STORE_MAX_AGE_SECS`) all follow the
+//! (`RESTUNE_SERVER_DEADLINE`, `RESTUNE_STORE_MAX_AGE_SECS`) all follow the
 //! same contract: a positive value is honored, anything else warns once per
 //! knob on stderr (through [`crate::obs::warn`], so the warning also lands
 //! in the trace stream and warn counters) and falls back to the knob's

@@ -36,14 +36,14 @@ pub fn run_suite(
 /// Runs the full 26-app suite on the base machine.
 ///
 /// Base runs are memoized per configuration ([`cached_base_suite`]): every
-/// table and figure driver in one process shares a single simulation, and a
-/// recorded baseline under `target/restune-cache/` spares later processes
-/// the cold run.
+/// table and figure driver in one process shares a single simulation, and
+/// the default run store under `target/restune-cache/` spares later
+/// processes the cold run.
 pub fn run_base_suite(sim: &SimConfig) -> Vec<SimResult> {
     cached_base_suite(sim).results.clone()
 }
 
-/// [`run_base_suite`] for the RISC-V corpus suite (memoized and recorded
+/// [`run_base_suite`] for the RISC-V corpus suite (memoized and stored
 /// through [`cached_corpus_base_suite`], like the synthetic suite).
 pub fn run_corpus_base_suite(sim: &SimConfig) -> Vec<SimResult> {
     cached_corpus_base_suite(sim).results.clone()
@@ -79,8 +79,8 @@ pub fn run_suite_policed(
 }
 
 /// The base suite under supervision: storage faults are applied to the
-/// recorded baseline, damaged files are recovered by re-simulating, and a
-/// failing application degrades its slot rather than the whole suite.
+/// suite's stored records, damaged records are recovered by re-simulating,
+/// and a failing application degrades its slot rather than the whole suite.
 ///
 /// With an inert policy this is bit-identical to [`run_base_suite`].
 pub fn base_suite_supervised(sim: &SimConfig, policy: &RunPolicy) -> SupervisedSuite {

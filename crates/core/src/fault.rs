@@ -11,8 +11,8 @@
 //!   the tuning detector too);
 //! * **numerical faults** — NaN/Inf/overflow currents fed into the RLC
 //!   integrator, exercising the guarded [`rlc::try_step`] path;
-//! * **storage faults** — truncated or bit-flipped recorded-baseline cache
-//!   files;
+//! * **storage faults** — truncated or bit-flipped base-suite records in
+//!   the run store;
 //! * **worker faults** — injected panics and artificial stalls in the
 //!   worker pool.
 //!
@@ -36,7 +36,7 @@ pub enum FailureKind {
     Timeout,
     /// The RLC integration surfaced an [`rlc::IntegrationError`].
     Numerical,
-    /// A recorded-baseline cache file was corrupt or unreadable.
+    /// A stored run record was corrupt or unreadable.
     Storage,
     /// The worker process died without unwinding: a signal (SIGKILL,
     /// SIGABRT, SIGSEGV), a non-zero exit, or — in the in-process tier —
@@ -210,8 +210,8 @@ impl FaultSpec {
 
     /// `true` for faults that perturb the *result* of a successful run
     /// (sensor faults) rather than making the run fail. These participate in
-    /// checkpoint fingerprints: results computed under different sensor
-    /// faults are not interchangeable.
+    /// run-store keys: results computed under different sensor faults are
+    /// not interchangeable.
     pub fn perturbs_result(&self) -> bool {
         matches!(
             self,
@@ -222,7 +222,7 @@ impl FaultSpec {
     }
 }
 
-/// A fault applied to a recorded-baseline cache file on disk.
+/// A fault applied to a stored base-suite record on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageFault {
     /// The file is cut to half its length (simulates an interrupted write).
@@ -281,7 +281,7 @@ impl FaultPlan {
     }
 
     /// A fully seeded plan: every application draws its faults from a
-    /// deterministic per-app stream, and the baseline cache suffers a
+    /// deterministic per-app stream, and the stored base-suite records suffer a
     /// storage fault. The same seed always produces the same plan.
     pub fn seeded(seed: u64) -> Self {
         Self {
@@ -309,7 +309,8 @@ impl FaultPlan {
         self
     }
 
-    /// Adds (or replaces) the storage fault applied to baseline cache files.
+    /// Adds (or replaces) the storage fault applied to stored base-suite
+    /// records.
     pub fn with_storage_fault(mut self, fault: StorageFault) -> Self {
         self.storage = Some(fault);
         self
@@ -320,7 +321,7 @@ impl FaultPlan {
         self.seed.is_some() || self.storage.is_some() || !self.targeted.is_empty()
     }
 
-    /// The storage fault to apply to baseline cache files, if any.
+    /// The storage fault to apply to stored base-suite records, if any.
     pub fn storage_fault(&self) -> Option<StorageFault> {
         self.storage
     }
@@ -347,22 +348,13 @@ impl FaultPlan {
         out
     }
 
-    /// The result-perturbing (sensor) faults for `app` — the part of the
-    /// plan a checkpoint fingerprint must include.
-    pub fn result_faults(&self, app: &str) -> Vec<FaultSpec> {
-        self.faults_for(app, 0)
+    /// The result-perturbing (sensor) faults for `app` on retry `attempt`
+    /// — the part of the plan a run-store key must include.
+    pub fn result_faults(&self, app: &str, attempt: u32) -> Vec<FaultSpec> {
+        self.faults_for(app, attempt)
             .into_iter()
             .filter(FaultSpec::perturbs_result)
             .collect()
-    }
-
-    /// `true` when the plan perturbs the *results* of any suite application
-    /// (a sensor fault somewhere). Suites run under such a plan must never
-    /// be recorded as clean baselines.
-    pub fn has_result_faults(&self) -> bool {
-        workloads::registry::all()
-            .iter()
-            .any(|p| !self.result_faults(p.name).is_empty())
     }
 
     /// Derives the seeded faults for one app. Kept deliberately sparse so a
@@ -993,8 +985,8 @@ pub struct InjectionEvent {
     pub class: &'static str,
 }
 
-/// A baseline-cache file that was found damaged (or deliberately damaged by
-/// a storage fault) and what became of it.
+/// A run-store record that was found damaged (or deliberately damaged by a
+/// storage fault) and what became of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StorageIncident {
     /// The file involved.
@@ -1018,12 +1010,12 @@ pub struct FailureReport {
     pub recoveries: Vec<RecoveryEvent>,
     /// Faults the plan injected.
     pub injections: Vec<InjectionEvent>,
-    /// Baseline-cache files found damaged.
+    /// Run-store records found damaged.
     pub storage: Vec<StorageIncident>,
-    /// `true` when at least one checkpoint append failed: results are
-    /// still correct, but a crash now loses the unwritten rows (resume
-    /// would re-run them).
-    pub checkpoint_degraded: bool,
+    /// `true` when at least one run-store put failed: results are still
+    /// correct, but the unwritten runs are not stored (a resume would
+    /// re-run them).
+    pub store_degraded: bool,
 }
 
 impl FailureReport {
@@ -1047,7 +1039,7 @@ impl FailureReport {
             && self.recoveries.is_empty()
             && self.injections.is_empty()
             && self.storage.is_empty()
-            && !self.checkpoint_degraded
+            && !self.store_degraded
     }
 
     /// One-line human summary.
@@ -1059,8 +1051,8 @@ impl FailureReport {
             self.recoveries.len(),
             self.failures.len(),
             self.storage.len(),
-            if self.checkpoint_degraded {
-                ", checkpoint degraded"
+            if self.store_degraded {
+                ", store degraded"
             } else {
                 ""
             }
@@ -1123,8 +1115,15 @@ mod tests {
         let plan = FaultPlan::none()
             .with_persistent_fault("gzip", FaultSpec::SensorDelay { cycles: 3 })
             .with_persistent_fault("gzip", FaultSpec::WorkerPanic);
-        let result_faults = plan.result_faults("gzip");
+        let result_faults = plan.result_faults("gzip", 0);
         assert_eq!(result_faults, vec![FaultSpec::SensorDelay { cycles: 3 }]);
+        let transient =
+            FaultPlan::none().with_transient_fault("gzip", FaultSpec::SensorDelay { cycles: 3 });
+        assert_eq!(transient.result_faults("gzip", 0).len(), 1);
+        assert!(
+            transient.result_faults("gzip", 1).is_empty(),
+            "a transient sensor fault clears on the retry"
+        );
     }
 
     #[test]

@@ -197,8 +197,9 @@ mod sys {
 
 /// Arms SIGINT/SIGTERM for graceful shutdown: the first signal sets the
 /// [`shutdown_requested`] flag (the suite drains: running children are
-/// killed, unclaimed apps become `interrupted` failures, the checkpoint
-/// keeps every completed row), the second force-kills. No-op off unix.
+/// killed, unclaimed apps become `interrupted` failures, a suite's run
+/// store keeps every completed run), the second force-kills. No-op off
+/// unix.
 pub fn install_signal_handlers() {
     #[cfg(unix)]
     sys::install();

@@ -30,7 +30,10 @@
 //! * [`experiment`] — suite drivers that regenerate the paper's Tables 2–5
 //!   and Figures 3–5;
 //! * [`engine`] — the suite execution engine: bounded worker-pool
-//!   scheduling, memoized + recorded base runs, structured run metrics;
+//!   scheduling, memoized base runs, structured run metrics;
+//! * [`store`] — the run store, the one persistence for results: one
+//!   identity-verified, crash-consistent record per run, read and written
+//!   by the engine;
 //! * [`metrics`] — slowdown / energy-delay accounting and per-run
 //!   observability rows.
 //!
@@ -71,6 +74,7 @@ pub mod obs;
 pub mod response;
 pub mod server;
 pub mod sim;
+pub mod store;
 pub mod sweep;
 pub mod testenv;
 mod wire;
@@ -102,7 +106,7 @@ pub use sim::{
     run, run_instrumented, run_observed, run_supervised, CycleRecord, InstrumentedRun,
     PhaseTimings, SimConfig, SimResult, Technique,
 };
+pub use store::{run_key, EvictStats, RunStore};
 pub use sweep::{
-    run_key, run_sweep, sim_for, EvictStats, GridSpec, RunStore, SensorPoint, SweepOutcome,
-    SweepPoint, WorkloadClass,
+    run_sweep, sim_for, GridSpec, SensorPoint, SweepOutcome, SweepPoint, WorkloadClass,
 };

@@ -79,7 +79,7 @@ pub fn rendezvous_order(fingerprint: u64, keys: &[String]) -> Vec<usize> {
             let mut bytes = Vec::with_capacity(8 + key.len());
             bytes.extend_from_slice(&fingerprint.to_le_bytes());
             bytes.extend_from_slice(key.as_bytes());
-            (crate::engine::fnv1a(&bytes), index)
+            (crate::store::fnv1a(&bytes), index)
         })
         .collect();
     scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -675,7 +675,7 @@ mod tests {
         let hosts = keys(3);
         let mut share = [0usize; 3];
         for fp in 0..600u64 {
-            share[rendezvous_order(crate::engine::fnv1a(&fp.to_le_bytes()), &hosts)[0]] += 1;
+            share[rendezvous_order(crate::store::fnv1a(&fp.to_le_bytes()), &hosts)[0]] += 1;
         }
         for (host, n) in share.iter().enumerate() {
             assert!(
@@ -686,7 +686,7 @@ mod tests {
         // Removing the last host only moves jobs that lived there: every
         // fingerprint whose 3-host winner is 0 or 1 keeps it under 2 hosts.
         for fp in 0..600u64 {
-            let fp = crate::engine::fnv1a(&fp.to_le_bytes());
+            let fp = crate::store::fnv1a(&fp.to_le_bytes());
             let with3 = rendezvous_order(fp, &hosts)[0];
             if with3 < 2 {
                 assert_eq!(
@@ -708,7 +708,7 @@ mod tests {
         let keys_a = shard_keys(list_a);
         let keys_b = shard_keys(list_b);
         for fp in 0..500u64 {
-            let fp = crate::engine::fnv1a(&fp.to_le_bytes());
+            let fp = crate::store::fnv1a(&fp.to_le_bytes());
             let winner_a = &keys_a[rendezvous_order(fp, &keys_a)[0]];
             let winner_b = &keys_b[rendezvous_order(fp, &keys_b)[0]];
             assert_eq!(winner_a, winner_b, "fp {fp:016x} moved under permutation");

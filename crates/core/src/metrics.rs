@@ -104,7 +104,7 @@ pub struct RunMetrics {
     pub phase_power_seconds: f64,
     /// Sampled wall time in the supply integration, seconds.
     pub phase_supply_seconds: f64,
-    /// `true` when the row was replayed from a recorded baseline rather
+    /// `true` when the row was replayed from the run store rather
     /// than simulated in this process.
     pub replayed: bool,
     /// Supervisor attempts this run took (1 = first try succeeded).
@@ -146,7 +146,7 @@ impl RunMetrics {
         }
     }
 
-    /// Builds the row for a result replayed from a recorded baseline: the
+    /// Builds the row for a result replayed from the run store: the
     /// simulation outcome is known but nothing was executed, so all timing
     /// fields are zero.
     pub fn replayed(technique: &'static str, result: &SimResult, cache: CacheStats) -> Self {

@@ -45,9 +45,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::engine::CacheKey;
 use crate::fault::{FailureKind, NetFaultRuntime};
-use crate::sweep::RunStore;
+use crate::store::{CacheKey, RunStore};
 use crate::wire;
 
 // ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ pub struct ServerConfig {
     /// connections.
     pub net_fault_seed: Option<u64>,
     /// Cache directory override (the result store lives in its
-    /// `server/store/`); defaults to the engine's baseline cache directory.
+    /// `server/store/`); defaults to [`crate::store::cache_dir`].
     pub cache_dir: Option<PathBuf>,
     /// Host generation tag announced in the hello frame on every accepted
     /// connection. `None` derives a fresh tag per [`Server::start`], so a
@@ -370,7 +369,7 @@ fn fresh_generation() -> u64 {
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
     let start = STARTS.fetch_add(1, Ordering::Relaxed);
-    crate::engine::fnv1a(format!("gen|{nanos}|{}|{start}", std::process::id()).as_bytes())
+    crate::store::fnv1a(format!("gen|{nanos}|{}|{start}", std::process::id()).as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -612,16 +611,16 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds `endpoint`, bounds the persistent result store (the sweep
-    /// store's `RESTUNE_STORE_MAX_BYTES` / `RESTUNE_STORE_MAX_AGE_SECS`
-    /// eviction), and spawns the accept loop and worker pool. Nothing is
+    /// Binds `endpoint`, bounds the persistent result store
+    /// ([`RunStore::evict`]: `RESTUNE_STORE_MAX_BYTES` /
+    /// `RESTUNE_STORE_MAX_AGE_SECS`), and spawns the accept loop and worker pool. Nothing is
     /// loaded: every lookup reads its one record.
     pub fn start(endpoint: Endpoint, cfg: ServerConfig) -> io::Result<Server> {
         let listener = Listener::bind(&endpoint)?;
         let server_dir = cfg
             .cache_dir
             .clone()
-            .unwrap_or_else(crate::engine::baseline_cache_dir)
+            .unwrap_or_else(crate::store::cache_dir)
             .join("server");
         let store = RunStore::open(server_dir.join("store"));
         store.evict();

@@ -138,7 +138,7 @@ pub(crate) fn job_fingerprint(
     sim: &SimConfig,
     specs: &[FaultSpec],
 ) -> u64 {
-    crate::engine::fnv1a(job_identity(profile, technique, sim, specs).as_bytes())
+    crate::store::fnv1a(job_identity(profile, technique, sim, specs).as_bytes())
 }
 
 // ---------------------------------------------------------------------------

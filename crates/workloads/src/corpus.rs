@@ -13,11 +13,11 @@
 //! serving infrastructure:
 //!
 //! * the profile `seed` is an FNV-1a hash of the embedded `.s` source, so
-//!   every Debug-derived fingerprint (baseline files, job fingerprints,
+//!   every Debug-derived fingerprint (run-store keys, job fingerprints,
 //!   shared-stream store keys) changes whenever the program text changes —
 //!   stale caches can never serve results for edited programs;
 //! * profiles resolve by name through `crate::registry`, exactly like the
-//!   synthetic suite, so wire jobs, baseline rows, and harness filters all
+//!   synthetic suite, so wire jobs, stored result rows, and harness filters all
 //!   work unchanged.
 //!
 //! Program provenance: `matmul`, `quicksort`, `box_blur`, and `qoi_decode`

@@ -2,9 +2,9 @@
 //! run, across workload classes.
 //!
 //! Anything that resolves an application *name* back to a profile — wire
-//! decoding, baseline-file parsing, fault bookkeeping — must go through
+//! decoding, run-store record parsing, fault bookkeeping — must go through
 //! this module rather than `spec2k` directly, so the real-program corpus
-//! participates in caching, checkpointing, and serving exactly like the
+//! participates in caching, resuming, and serving exactly like the
 //! synthetic suite. Suite-sized constants should likewise be derived from
 //! [`all`] (or the per-class `all()`s) instead of hard-coding 26.
 

@@ -1,13 +1,15 @@
 //! Determinism regression: the engine's bounded scheduler, the old serial
-//! path, and a recorded-baseline replay must all produce bit-identical
+//! path, and a replay from the run store must all produce bit-identical
 //! `SimResult` rows.
 
 use restune::engine::{
-    base_key, cached_base_suite, checkpoint_path, corpus_base_key, load_baseline,
-    run_suite_supervised, save_baseline, suite_key, try_run_suite,
+    cached_base_suite, cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite,
+    SupervisedSuite,
 };
 use restune::experiment::run_suite;
-use restune::{run, FaultPlan, FaultSpec, SimConfig, SupervisorConfig, Technique, TuningConfig};
+use restune::{
+    run, FaultPlan, FaultSpec, RunStore, SimConfig, SupervisorConfig, Technique, TuningConfig,
+};
 use workloads::{corpus, spec2k};
 
 const APPS: [&str; 3] = ["mcf", "parser", "fma3d"];
@@ -15,6 +17,29 @@ const APPS: [&str; 3] = ["mcf", "parser", "fma3d"];
 fn profiles() -> Vec<workloads::WorkloadProfile> {
     APPS.iter()
         .map(|n| spec2k::by_name(n).expect("app is in the suite"))
+        .collect()
+}
+
+/// A scratch directory, emptied, and a supervisor whose run store lives
+/// in it.
+fn scratch_store(label: &str) -> (std::path::PathBuf, SupervisorConfig) {
+    let dir = std::env::temp_dir().join(format!(
+        "restune-determinism-{label}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sup = SupervisorConfig {
+        store: Some(RunStore::open(dir.clone())),
+        ..SupervisorConfig::default()
+    };
+    (dir, sup)
+}
+
+fn replayed(suite: &SupervisedSuite) -> Vec<bool> {
+    suite
+        .metrics
+        .iter()
+        .map(|m| m.expect("all apps have metrics").replayed)
         .collect()
 }
 
@@ -32,21 +57,22 @@ fn scheduler_serial_and_replay_agree_bit_for_bit() {
         .iter()
         .map(|p| run(p, &Technique::Base, &sim))
         .collect();
-    // 4. A save/load round trip through the recorded-baseline format.
-    let key = base_key(&sim);
-    let path = std::env::temp_dir().join("restune-determinism-baseline.tsv");
-    save_baseline(&path, &key, &serial).expect("baseline writes");
-    let replayed = load_baseline(&path, &key)
-        .expect("baseline reads")
-        .expect("fingerprint matches");
-    let _ = std::fs::remove_file(&path);
+    // 4. A replay from the run store: the first store-backed suite puts
+    //    every run, the second serves them all back.
+    let (dir, sup) = scratch_store("replay");
+    let plan = FaultPlan::none();
+    run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &plan);
+    let replay = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &plan);
+    assert_eq!(replayed(&replay), vec![true; APPS.len()]);
+    let replayed = replay.all_results().expect("every app replays");
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
         pooled.results, serial,
         "worker pool must match the serial loop"
     );
     assert_eq!(suite, serial, "run_suite must match the serial loop");
-    assert_eq!(replayed, serial, "baseline replay must be bit-identical");
+    assert_eq!(replayed, serial, "store replay must be bit-identical");
 }
 
 #[test]
@@ -76,9 +102,9 @@ fn one_worker_pool_matches_wide_pool() {
 #[test]
 fn corpus_pool_serial_and_baseline_replay_agree_bit_for_bit() {
     // The replayed-trace workload class through the same three paths the
-    // synthetic suite is pinned on: worker pool, serial loop, and a
-    // recorded-baseline round trip (whose rows resolve corpus names
-    // through the workload registry on parse).
+    // synthetic suite is pinned on: worker pool, serial loop, and the base
+    // suite's records replayed from the run store (whose rows resolve
+    // corpus names through the workload registry on parse).
     let profiles = corpus::all();
     let sim = SimConfig::isca04(20_000);
 
@@ -88,23 +114,21 @@ fn corpus_pool_serial_and_baseline_replay_agree_bit_for_bit() {
         .map(|p| run(p, &Technique::Base, &sim))
         .collect();
 
-    let key = corpus_base_key(&sim);
-    let path = std::env::temp_dir().join(format!(
-        "restune-determinism-corpus-baseline-{}.tsv",
-        std::process::id()
-    ));
-    save_baseline(&path, &key, &serial).expect("corpus baseline writes");
-    let replayed = load_baseline(&path, &key)
-        .expect("corpus baseline reads")
-        .expect("fingerprint matches");
-    let _ = std::fs::remove_file(&path);
+    let (dir, sup) = scratch_store("corpus-baseline");
+    let plan = FaultPlan::none();
+    let recorded = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
+    let replay = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
+    let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
         pooled.results, serial,
         "corpus worker pool must match the serial loop"
     );
+    assert_eq!(replayed(&recorded), vec![false; profiles.len()]);
+    assert_eq!(replayed(&replay), vec![true; profiles.len()]);
     assert_eq!(
-        replayed, serial,
+        replay.all_results().expect("every corpus app replays"),
+        serial,
         "corpus baseline replay must be bit-identical"
     );
 }
@@ -116,49 +140,34 @@ fn corpus_suite_checkpoints_and_resumes_bit_exactly() {
         .map(|n| corpus::by_name(n).expect("app is in the corpus"))
         .collect();
     let sim = SimConfig::isca04(15_000);
-    let dir = std::env::temp_dir().join(format!(
-        "restune-determinism-corpus-ckpt-{}",
-        std::process::id()
-    ));
+    let (dir, store_sup) = scratch_store("corpus-resume");
     let sup = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(dir.clone()),
         max_retries: 0,
-        ..SupervisorConfig::default()
+        ..store_sup
     };
 
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("corpus suite runs");
 
-    // Crash the middle app, leaving a two-app checkpoint behind.
+    // Crash the middle app: the other two are stored as they complete.
     let crash_plan = FaultPlan::none().with_persistent_fault("quicksort", FaultSpec::WorkerPanic);
     let interrupted = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &crash_plan);
     assert_eq!(interrupted.completed(), 2);
+    let records = || std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+    assert_eq!(records(), 2, "each completed corpus app is stored");
 
-    let key = suite_key(&profiles, &Technique::Base, &sim, &FaultPlan::none());
-    let path = checkpoint_path(&sup, key.fingerprint);
-    assert!(path.exists(), "a degraded corpus run keeps its checkpoint");
-
-    // Clean resume: checkpointed corpus apps replay, the crashed one
+    // Clean resume: stored corpus apps replay, the crashed one
     // re-simulates, and the merged suite matches the uninterrupted run.
     let resumed = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none());
     assert_eq!(
         resumed.all_results().expect("resume completes the suite"),
         reference.results
     );
-    let replayed: Vec<bool> = resumed
-        .metrics
-        .iter()
-        .map(|m| m.expect("all apps have metrics").replayed)
-        .collect();
     assert_eq!(
-        replayed,
+        replayed(&resumed),
         vec![true, false, true],
-        "checkpointed corpus apps replay; the crashed one re-simulates"
+        "stored corpus apps replay; the crashed one re-simulates"
     );
-    assert!(
-        !path.exists(),
-        "a fully successful corpus suite retires its checkpoint"
-    );
+    assert_eq!(records(), 3, "the healed app is stored too");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -167,16 +176,23 @@ fn corpus_suite_checkpoints_and_resumes_bit_exactly() {
 fn table_drivers_share_one_base_simulation() {
     // The acceptance check for the memoized engine: run the table3 driver's
     // flow twice in one process and count actual base-suite simulations.
+    // The cache directory is this test's own, so the first driver really
+    // simulates: default-store records outlive a test run.
     let sim = SimConfig::isca04(12_345);
-    let _ = std::fs::remove_file(restune::engine::baseline_path(&sim));
-    assert_eq!(restune::engine::base_suite_simulations(&sim), 0);
-
-    for _ in 0..2 {
-        let base = cached_base_suite(&sim);
-        let rows = restune::experiment::table3(&sim, &[100], &base.results);
-        assert_eq!(rows.len(), 1);
-    }
-
+    let dir = std::env::temp_dir().join(format!(
+        "restune-determinism-drivers-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = dir.to_str().expect("utf-8 temp dir");
+    restune::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
+        assert_eq!(restune::engine::base_suite_simulations(&sim), 0);
+        for _ in 0..2 {
+            let base = cached_base_suite(&sim);
+            let rows = restune::experiment::table3(&sim, &[100], &base.results);
+            assert_eq!(rows.len(), 1);
+        }
+    });
     assert_eq!(
         restune::engine::base_suite_simulations(&sim),
         1,
@@ -184,5 +200,5 @@ fn table_drivers_share_one_base_simulation() {
     );
     let stats = restune::engine::base_cache_stats();
     assert!(stats.hits >= 1, "the second driver must hit the cache");
-    let _ = std::fs::remove_file(restune::engine::baseline_path(&sim));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,15 +3,18 @@
 //! interrupted suite bit-exactly, and — with the policy disabled — stay
 //! bit-identical to the unsupervised path.
 
+use std::path::PathBuf;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use restune::engine::{
-    append_checkpoint, base_key, checkpoint_path, load_baseline, load_checkpoint,
-    run_suite_supervised, save_baseline, suite_fingerprint, suite_key, try_run_suite,
+    cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite, SupervisedSuite,
 };
-use restune::{FailureKind, FaultPlan, FaultSpec, SimConfig, SupervisorConfig, Technique};
-use workloads::spec2k;
+use restune::{
+    FailureKind, FaultPlan, FaultSpec, RunStore, SimConfig, StorageFault, SupervisorConfig,
+    Technique,
+};
+use workloads::{corpus, spec2k};
 
 const APPS: [&str; 3] = ["mcf", "parser", "fma3d"];
 
@@ -37,6 +40,30 @@ fn fast_retries() -> SupervisorConfig {
         backoff_cap: Duration::from_millis(4),
         ..SupervisorConfig::default()
     }
+}
+
+/// A scratch directory, emptied, and [`fast_retries`] with a run store in
+/// it.
+fn stored_retries(label: &str) -> (PathBuf, SupervisorConfig) {
+    let dir = std::env::temp_dir().join(format!("restune-ft-{label}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sup = SupervisorConfig {
+        store: Some(RunStore::open(dir.clone())),
+        ..fast_retries()
+    };
+    (dir, sup)
+}
+
+fn replayed(suite: &SupervisedSuite) -> Vec<bool> {
+    suite
+        .metrics
+        .iter()
+        .map(|m| m.expect("all apps have metrics").replayed)
+        .collect()
+}
+
+fn records(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir).map_or(0, |entries| entries.count())
 }
 
 #[test]
@@ -157,56 +184,97 @@ fn interrupted_suite_resumes_bit_exactly() {
     let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(25_000);
-    let dir = std::env::temp_dir().join(format!("restune-ft-resume-{}", std::process::id()));
+    let (dir, store_sup) = stored_retries("resume");
     let sup = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(dir.clone()),
         max_retries: 0,
-        ..fast_retries()
+        ..store_sup
     };
 
     // The uninterrupted reference run.
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
 
     // "Interrupt" the suite: a persistent panic takes one app down, so the
-    // run ends degraded and leaves its checkpoint on disk.
+    // run ends degraded with the other two stored.
     let crash_plan = FaultPlan::none().with_persistent_fault(APPS[1], FaultSpec::WorkerPanic);
     let interrupted = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &crash_plan);
     assert_eq!(interrupted.completed(), 2);
+    assert_eq!(records(&dir), 2, "each completed app is stored");
 
-    // Worker faults are excluded from the fingerprint (they change whether a
-    // run completes, never what it computes), so the clean resume finds the
-    // same checkpoint.
-    let fp = suite_fingerprint(&profiles, &Technique::Base, &sim, &FaultPlan::none());
-    assert_eq!(
-        fp,
-        suite_fingerprint(&profiles, &Technique::Base, &sim, &crash_plan)
-    );
-    let path = checkpoint_path(&sup, fp);
-    assert!(path.exists(), "a degraded run keeps its checkpoint");
-
-    // Resume without the fault: the two completed apps replay from the
-    // checkpoint, the crashed one is simulated, and the total is
-    // bit-identical to the uninterrupted reference.
+    // Resume without the fault. Worker faults change whether a run
+    // completes, never what it computes, so the stored runs are the clean
+    // ones: the two completed apps replay, the crashed one is simulated,
+    // and the total is bit-identical to the uninterrupted reference.
     let resumed = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none());
     assert_eq!(
         resumed.all_results().expect("resume completes the suite"),
         reference.results
     );
-    let replayed: Vec<bool> = resumed
-        .metrics
-        .iter()
-        .map(|m| m.expect("all apps have metrics").replayed)
-        .collect();
     assert_eq!(
-        replayed,
+        replayed(&resumed),
         vec![true, false, true],
-        "checkpointed apps replay; the crashed one re-simulates"
+        "stored apps replay; the crashed one re-simulates"
     );
-    assert!(
-        !path.exists(),
-        "a fully successful suite retires its checkpoint"
+
+    // A completed suite keeps its runs: a rerun replays all of them.
+    let rerun = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none());
+    assert_eq!(replayed(&rerun), vec![true; APPS.len()]);
+    assert_eq!(
+        rerun.all_results().expect("rerun replays"),
+        reference.results
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_resumed_suite_never_replays_a_result_its_fault_plan_would_not_compute() {
+    let _env = shared_worker_env();
+    let profiles: Vec<_> = ["mcf", "parser"]
+        .iter()
+        .map(|n| spec2k::by_name(n).expect("app is in the suite"))
+        .collect();
+    let sim = SimConfig::isca04(20_000);
+    let technique = Technique::Tuning(restune::TuningConfig::isca04_table1(100));
+    let delay = FaultSpec::SensorDelay { cycles: 12 };
+    let (dir, sup) = stored_retries("sensor-retry");
+
+    // Plan A: mcf's first attempt carries a sensor delay and a panic, both
+    // transient, so its retry computes the clean result; parser never
+    // completes, so the suite ends degraded.
+    let plan_a = FaultPlan::none()
+        .with_transient_fault("mcf", delay)
+        .with_transient_fault("mcf", FaultSpec::WorkerPanic)
+        .with_persistent_fault("parser", FaultSpec::WorkerPanic);
+    let degraded = run_suite_supervised(&profiles, &technique, &sim, &sup, &plan_a);
+    assert_eq!(degraded.completed(), 1);
+
+    // Plan B keeps the same sensor delay on every attempt: every mcf
+    // result it computes is delayed, so the clean record must not replay.
+    let plan_b = FaultPlan::none()
+        .with_persistent_fault("mcf", delay)
+        .with_transient_fault("mcf", FaultSpec::WorkerPanic);
+    let resumed = run_suite_supervised(&profiles, &technique, &sim, &sup, &plan_b);
+    let fresh = run_suite_supervised(&profiles, &technique, &sim, &fast_retries(), &plan_b);
+    assert_eq!(replayed(&resumed), vec![false, false]);
+    assert_eq!(
+        resumed.all_results(),
+        fresh.all_results(),
+        "the resumed suite computes what plan B computes"
+    );
+    assert_ne!(
+        resumed.outcomes[0], degraded.outcomes[0],
+        "the sensor delay moves mcf's result"
+    );
+
+    // Each run is stored under the faults of the attempt that produced it:
+    // plan B now replays its own delayed result, and plan A's clean one
+    // is still there for a clean plan.
+    let replay_b = run_suite_supervised(&profiles, &technique, &sim, &sup, &plan_b);
+    assert_eq!(replayed(&replay_b), vec![true, true]);
+    assert_eq!(replay_b.all_results(), fresh.all_results());
+    let clean = run_suite_supervised(&profiles, &technique, &sim, &sup, &FaultPlan::none());
+    assert_eq!(replayed(&clean), vec![true, true]);
+    assert_eq!(clean.outcomes[0], degraded.outcomes[0]);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -214,99 +282,70 @@ fn interrupted_suite_resumes_bit_exactly() {
 #[test]
 fn corrupt_recorded_baselines_are_discarded_not_trusted() {
     let _env = shared_worker_env();
-    let profiles = profiles();
-    let sim = SimConfig::isca04(15_000);
-    let results: Vec<_> = try_run_suite(&profiles, &Technique::Base, &sim)
-        .expect("suite runs")
-        .results;
-    let key = base_key(&sim);
+    // The corpus base suite keeps this cheap; its records are damaged the
+    // way the fault plane's storage faults damage them.
+    let sim = SimConfig::isca04(6_000);
+    let apps = corpus::all().len();
+    let (dir, sup) = stored_retries("corrupt");
+    let reference = cached_corpus_base_suite_supervised(&sim, &sup, &FaultPlan::none());
+    assert_eq!(records(&dir), apps);
 
-    for label in ["truncated", "bit-flipped"] {
-        let path = std::env::temp_dir().join(format!(
-            "restune-ft-corrupt-{label}-{}.tsv",
-            std::process::id()
-        ));
-        save_baseline(&path, &key, &results).expect("baseline writes");
-        let mut bytes = std::fs::read(&path).expect("baseline reads back");
-        let mid = bytes.len() / 2;
-        if label == "truncated" {
-            bytes.truncate(mid);
-        } else {
-            bytes[mid] ^= 0x10;
-        }
-        std::fs::write(&path, &bytes).expect("damage lands");
-
-        let loaded = load_baseline(&path, &key).expect("load survives corruption");
-        assert!(loaded.is_none(), "{label} baseline must not be trusted");
-        assert!(!path.exists(), "{label} baseline must be deleted");
+    for fault in [StorageFault::Truncate, StorageFault::BitFlip] {
+        let plan = FaultPlan::none().with_storage_fault(fault);
+        let suite = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
+        let storage = &suite.report.storage;
+        assert_eq!(storage.len(), apps, "one incident per damaged record");
+        assert!(
+            storage.iter().all(|s| s.recovered),
+            "{fault:?}: every damaged record is re-simulated: {storage:?}"
+        );
+        assert_eq!(
+            replayed(&suite),
+            vec![false; apps],
+            "{fault:?}: a damaged record is never trusted"
+        );
+        assert_eq!(suite.all_results(), reference.all_results());
+        assert_eq!(records(&dir), apps, "{fault:?}: the records are put back");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn torn_checkpoints_recover_at_row_granularity() {
     let _env = shared_worker_env();
-    // Crash-consistency contract: a checkpoint damaged mid-write loses at
-    // most the rows that were actually damaged. A row whose CRC no longer
-    // verifies is skipped (only that app re-runs); a structurally torn tail
-    // is truncated (the intact prefix replays).
+    // A damaged record loses only its own run: the middle application
+    // re-simulates, the other two replay.
     let profiles = profiles();
     let sim = SimConfig::isca04(25_000);
-    let dir = std::env::temp_dir().join(format!("restune-ft-torn-{}", std::process::id()));
-    let sup = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(dir.clone()),
-        max_retries: 0,
-        ..fast_retries()
-    };
+    let (dir, sup) = stored_retries("torn");
 
-    let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
-    let key = suite_key(&profiles, &Technique::Base, &sim, &FaultPlan::none());
-    let path = checkpoint_path(&sup, key.fingerprint);
-    for (idx, result) in reference.results.iter().enumerate() {
-        append_checkpoint(&path, &key, idx, result).expect("checkpoint writes");
-    }
-
-    // Damage the file the way a crash would: flip a CRC digit on the middle
-    // row, and leave a half-written row dangling at the tail.
-    let text = std::fs::read_to_string(&path).expect("checkpoint reads back");
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    assert_eq!(lines.len(), 5, "header, identity row, one row per app");
-    let flipped = match lines[3].pop().expect("row is nonempty") {
-        '0' => '1',
-        _ => '0',
-    };
-    lines[3].push(flipped);
-    let torn = lines[4][..lines[4].len() / 2].to_string();
-    lines.push(torn);
-    std::fs::write(&path, lines.join("\n")).expect("damage lands");
-
-    // Row-granular recovery: rows 0 and 2 survive, the damaged row 1 does
-    // not, and the torn tail never reaches the parser.
-    let rows = load_checkpoint(&path, &key, &profiles);
-    assert_eq!(
-        rows.iter().map(|(idx, _)| *idx).collect::<Vec<_>>(),
-        vec![0, 2],
-        "only the intact rows may be trusted"
+    let reference =
+        run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none());
+    let key = restune::run_key(&profiles[1], &Technique::Base, &sim);
+    assert!(
+        RunStore::open(dir.clone()).get(&key).is_some(),
+        "every run was stored"
     );
-    assert_eq!(rows[0].1, reference.results[0]);
-    assert_eq!(rows[1].1, reference.results[2]);
 
-    // A resumed suite replays exactly those rows and re-runs the damaged
-    // one, landing bit-identical to the uninterrupted reference.
+    // Flip the last CRC digit of the middle record's result row, the way
+    // bit rot would.
+    let path = dir.join(format!("run-{:016x}.tsv", key.fingerprint));
+    let mut text = std::fs::read_to_string(&path).expect("record reads back");
+    assert_eq!(text.pop(), Some('\n'));
+    let digit = text.pop().expect("row is nonempty");
+    text.push(if digit == '0' { '1' } else { '0' });
+    text.push('\n');
+    std::fs::write(&path, text).expect("damage lands");
+
     let resumed = run_suite_supervised(&profiles, &Technique::Base, &sim, &sup, &FaultPlan::none());
     assert_eq!(
         resumed.all_results().expect("resume completes the suite"),
-        reference.results
+        reference.all_results().expect("reference completes")
     );
-    let replayed: Vec<bool> = resumed
-        .metrics
-        .iter()
-        .map(|m| m.expect("all apps have metrics").replayed)
-        .collect();
     assert_eq!(
-        replayed,
+        replayed(&resumed),
         vec![true, false, true],
-        "intact rows replay; the damaged row re-simulates"
+        "intact records replay; the damaged one re-simulates"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -437,13 +476,11 @@ fn hard_crashes_are_contained_by_process_isolation() {
     let _env = shared_worker_env();
     let profiles = profiles();
     let sim = SimConfig::isca04(20_000);
-    let dir = std::env::temp_dir().join(format!("restune-ft-crash-{}", std::process::id()));
+    let (dir, store_sup) = stored_retries("crash");
     let sup = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(dir.clone()),
         max_retries: 0,
         timeout: Some(Duration::from_secs(120)),
-        ..fast_retries()
+        ..store_sup
     };
 
     // One worker aborts, one SIGKILLs itself. In-process either would take
@@ -468,7 +505,7 @@ fn hard_crashes_are_contained_by_process_isolation() {
         killed.message
     );
 
-    // The crash never reaches the checkpoint: a clean resume replays the
+    // The crash never reaches the store: a clean resume replays the
     // completed app, re-runs the crashed ones, and matches an uninterrupted
     // reference bit-for-bit.
     let reference = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
@@ -479,13 +516,8 @@ fn hard_crashes_are_contained_by_process_isolation() {
         resumed.all_results().expect("resume completes the suite"),
         reference.results
     );
-    let replayed: Vec<bool> = resumed
-        .metrics
-        .iter()
-        .map(|m| m.expect("all apps have metrics").replayed)
-        .collect();
     assert_eq!(
-        replayed,
+        replayed(&resumed),
         vec![false, true, false],
         "the completed app replays; the crashed ones re-simulate"
     );

@@ -1,14 +1,15 @@
 //! Sweep tier: the parameter-grid driver must share every individual run
-//! between overlapping sweeps through the content-addressed store, resume
-//! an interrupted sweep bit-identically through the checkpoint machinery,
-//! and never let a fingerprint collision smuggle a wrong result in.
+//! between overlapping sweeps through the run store, resume an interrupted
+//! sweep bit-identically from the runs the store already holds, serve a
+//! base suite's records to a sweep's base point, and never let a
+//! fingerprint collision smuggle a wrong result in.
 
-use restune::engine::CacheKey;
+use restune::store::CacheKey;
 use restune::{
     run, run_key, run_sweep, FaultPlan, FaultSpec, GridSpec, RunPolicy, RunStore, SimConfig,
     SupervisorConfig, Technique,
 };
-use workloads::spec2k;
+use workloads::{corpus, spec2k};
 
 fn grid(pairs: &[(&str, &str)], instructions: u64) -> GridSpec {
     let pairs: Vec<(String, String)> = pairs
@@ -77,12 +78,9 @@ fn overlapping_sweeps_share_every_run_and_reproduce_the_frontier() {
 #[test]
 fn interrupted_sweep_resumes_bit_identically() {
     let store_dir = scratch("resume-store");
-    let ckpt_dir = scratch("resume-ckpt");
     let store = RunStore::open(store_dir.clone());
     let spec = grid(&[("workloads", "corpus"), ("tuning", "100")], 8_000);
     let supervisor = SupervisorConfig {
-        resume: true,
-        checkpoint_dir: Some(ckpt_dir.clone()),
         max_retries: 0,
         ..SupervisorConfig::default()
     };
@@ -97,8 +95,8 @@ fn interrupted_sweep_resumes_bit_identically() {
     .expect("reference sweep runs");
 
     // "Interrupt" the sweep: a persistent worker crash in one corpus app
-    // fails every suite that reaches it, leaving the other apps'
-    // checkpointed rows behind.
+    // fails the first suite that reaches it. Every other app of that suite
+    // was stored the moment it completed.
     let crashing = RunPolicy {
         supervisor: supervisor.clone(),
         plan: FaultPlan::none().with_persistent_fault("quicksort", FaultSpec::WorkerPanic),
@@ -108,24 +106,48 @@ fn interrupted_sweep_resumes_bit_identically() {
         interrupted.is_err(),
         "a crashed suite must surface an error"
     );
-    let checkpoints = std::fs::read_dir(&ckpt_dir)
-        .map(|entries| entries.count())
-        .unwrap_or(0);
-    assert!(checkpoints > 0, "the interrupted suite left its checkpoint");
+    let apps = corpus::all().len();
+    let stored = std::fs::read_dir(&store_dir).map_or(0, |entries| entries.count());
+    assert_eq!(
+        stored,
+        apps - 1,
+        "the crashed suite's other runs are stored"
+    );
 
-    // The clean re-run resumes: checkpointed apps replay, the crashed one
-    // re-simulates, and the outcome matches the uninterrupted reference
-    // bit-for-bit.
+    // The clean re-run resumes: stored runs replay, the crashed app and
+    // the suites never reached simulate, and the outcome matches the
+    // uninterrupted reference bit-for-bit.
     let resuming = RunPolicy {
         supervisor,
         plan: FaultPlan::none(),
     };
     let resumed = run_sweep(&spec, &resuming, &store).expect("resumed sweep completes");
     assert_eq!(resumed.points, reference.points, "resume is bit-identical");
+    assert_eq!(resumed.store_hits, apps as u64 - 1);
 
     let _ = std::fs::remove_dir_all(&store_dir);
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
     let _ = std::fs::remove_dir_all(&reference_dir);
+}
+
+#[test]
+fn a_base_suites_records_serve_the_sweeps_base_point() {
+    // A harness's base suite and a sweep's PDN-1.0 base point are the same
+    // runs: once the base suite is recorded, the sweep simulates only its
+    // technique points. (An instruction count no other test uses keeps the
+    // process-wide base-suite memo from serving it without the store.)
+    let dir = scratch("base-records");
+    let cache = dir.to_str().expect("utf-8 temp dir");
+    let instructions = 8_123;
+    let spec = grid(&[("workloads", "corpus"), ("tuning", "100")], instructions);
+    let outcome = restune::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
+        restune::engine::cached_corpus_base_suite(&SimConfig::isca04(instructions));
+        run_sweep(&spec, &RunPolicy::default(), &RunStore::open_default())
+    })
+    .expect("sweep runs");
+    let apps = corpus::all().len() as u64;
+    assert_eq!(outcome.store_hits, apps, "the base point is store-served");
+    assert_eq!(outcome.store_misses, outcome.runs - apps);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
