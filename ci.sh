@@ -65,7 +65,7 @@ echo "$smoke_out" | grep -q '"injected"' || {
     exit 1
 }
 
-echo "==> chaos smoke (process isolation: abort + SIGKILL workers, resume from the run store)"
+echo "==> chaos smoke (abort + SIGKILL workers, SIGKILL the harness, resume from the run store)"
 # Two workers die hard — one aborts, one SIGKILLs itself. Under
 # RESTUNE_ISOLATION=process the suite must contain both crashes to their
 # slots and exit 0 (the plan is enabled, so the failures are the
@@ -153,6 +153,67 @@ assert 1 <= spawned <= 2, f"{spawned} workers spawned for {jobs} jobs on 2 threa
 assert reused_jobs >= jobs - 2, \
     f"only {reused_jobs} of {jobs} jobs went to a reused worker"
 print(f"reuse ok: {jobs} jobs on {spawned} workers ({reused_jobs} reused)")
+EOF
+# SIGKILL the harness itself mid-suite. On the thread tier the harness is
+# the process that puts, and the kill lands before its suite's durability
+# barrier: every record whose put returned lives in the page cache, so the
+# resume must replay at least the records counted before the kill and
+# must equal a reference run at the same -n. A put the kill interrupts
+# leaves its tmp file (store/run-<fp>.tmp.<pid>.<seq>) in this cache dir,
+# as expected; eviction removes such a leftover once it is an hour old.
+kill_dir=$(mktemp -d)
+kill_n=400000
+stored() { find "$kill_dir/store" -name 'run-*.tsv' 2>/dev/null | wc -l; }
+RESTUNE_CACHE_DIR="$kill_dir" RESTUNE_ISOLATION=thread \
+    ./target/release/suite_check -n "$kill_n" --resume --json \
+    > /dev/null &
+victim=$!
+deadline=$(( $(date +%s) + 120 ))
+while [ "$(stored)" -lt 8 ]; do
+    kill -0 "$victim" 2>/dev/null || {
+        echo "chaos smoke: suite_check finished before it could be killed" >&2
+        exit 1
+    }
+    [ "$(date +%s)" -lt "$deadline" ] || {
+        kill -KILL "$victim"
+        echo "chaos smoke: suite_check stored no 8 records in 120 s" >&2
+        exit 1
+    }
+    sleep 0.05
+done
+before_kill=$(stored)
+kill -KILL "$victim"
+status=0
+wait "$victim" || status=$?
+[ "$status" -eq 137 ] || {
+    echo "chaos smoke: suite_check exited $status, not by SIGKILL mid-suite" >&2
+    exit 1
+}
+RESTUNE_CACHE_DIR="$kill_dir" RESTUNE_ISOLATION=thread \
+    ./target/release/suite_check -n "$kill_n" --resume --json \
+    > "$chaos_out/kill_resumed.json"
+RESTUNE_CACHE_DIR="$(mktemp -d)" RESTUNE_ISOLATION=thread \
+    ./target/release/suite_check -n "$kill_n" --resume --json \
+    > "$chaos_out/kill_reference.json"
+python3 - "$chaos_out" "$kill_dir" "$before_kill" <<'EOF'
+import json, os, re, sys
+out, cache, before_kill = sys.argv[1], sys.argv[2], int(sys.argv[3])
+resumed, reference = (json.load(open(f"{out}/kill_{name}.json"))
+                      for name in ("resumed", "reference"))
+rows = resumed["run_metrics"]
+replays = sum(1 for r in rows if r["replayed"])
+assert replays >= before_kill, \
+    f"the resume replayed {replays} runs, but {before_kill} were stored before the kill"
+assert replays < len(rows), "the kill landed after the suite had finished"
+assert resumed["suite_check"] == reference["suite_check"], \
+    "the suite resumed after a SIGKILL must equal an uninterrupted reference"
+names = os.listdir(f"{cache}/store")
+for name in names:
+    assert re.fullmatch(r"run-[0-9a-f]{16}\.(tsv|tmp\.\d+\.\d+)", name), \
+        f"{name!r} is neither a run-store record nor a put's tmp file"
+leftovers = sum(".tmp." in name for name in names)
+print(f"harness kill ok: {before_kill} records before the SIGKILL, {replays} of "
+      f"{len(rows)} runs replayed on resume, {leftovers} tmp leftovers")
 EOF
 
 echo "==> trace smoke (traced suite bit-identical, schema-valid, windows present)"

@@ -17,12 +17,11 @@ const USAGE: &str = "usage: restuned [--socket PATH | --tcp HOST:PORT] [--queue 
                    (default target/restuned.sock)
   --tcp HOST:PORT  listen on a TCP address instead of a unix socket
   --queue N        admission queue bound; requests beyond it are rejected
-                   with a busy/retry-after frame (RESTUNE_SERVER_QUEUE,
-                   default 256)
+                   with a busy/retry-after frame (default 256)
   --clients N      simultaneous client bound; connections beyond it are
-                   refused (RESTUNE_SERVER_CLIENTS, default 64)
+                   refused (default 64)
   --deadline SECS  watchdog deadline for requests that carry none of their
-                   own (RESTUNE_SERVER_DEADLINE, default 120)
+                   own (default 120)
   --workers N      worker threads (RESTUNE_WORKERS, default: available
                    parallelism)
   --faults SEED    arm deterministic network-fault injection on a seeded
@@ -33,7 +32,7 @@ const USAGE: &str = "usage: restuned [--socket PATH | --tcp HOST:PORT] [--queue 
                    client's own --connect list decides its routing)
   --help, -h       print this message
 
-Flags override their environment knobs. SIGTERM or SIGINT drains: in-flight
+--workers overrides RESTUNE_WORKERS. SIGTERM or SIGINT drains: in-flight
 jobs finish, results persist to the shared cache, and the exit code is 0.";
 
 /// Exit code for malformed command-line arguments.

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -377,7 +377,9 @@ fn stored_key(
 /// application whose run is stored (under its attempt-0 sensor faults)
 /// replays it, the pool is sized to the misses, and each fresh run is put
 /// the moment it succeeds (under the sensor faults of the attempt that
-/// produced it), so an interrupted suite resumes from the store.
+/// produced it), so an interrupted suite resumes from the store. A suite
+/// that put anything ends with one [`RunStore::sync`], after which its
+/// runs survive an OS crash too.
 ///
 /// Unlike [`try_run_suite`], one failing application does not abort the
 /// suite: its slot carries the classified [`AppFailure`] and every other
@@ -417,22 +419,27 @@ pub fn run_suite_supervised(
             let _ = slot.set(Ok((result, metrics)));
         }
     }
-    // A failed put warns once per suite; the result itself stays good.
+    // A failed put or barrier warns once per suite; the results stay good.
+    let degrade = |store: &RunStore, what: &str, e: io::Error| {
+        let mut rep = report.lock().unwrap_or_else(PoisonError::into_inner);
+        if !rep.store_degraded {
+            rep.store_degraded = true;
+            crate::obs::warn(
+                "store",
+                &format!(
+                    "run-store {what} failed in {} ({e}); this suite will not fully resume",
+                    store.dir().display()
+                ),
+            );
+        }
+    };
+    let put_any = AtomicBool::new(false);
     let put = |profile: &WorkloadProfile, result: &SimResult, attempts: u32| {
         let Some(store) = &sup.store else { return };
         let key = stored_key(profile, technique, sim, plan, attempts - 1);
-        if let Err(e) = store.put(&key, result) {
-            let mut rep = report.lock().unwrap_or_else(PoisonError::into_inner);
-            if !rep.store_degraded {
-                rep.store_degraded = true;
-                crate::obs::warn(
-                    "store",
-                    &format!(
-                        "run-store put failed in {} ({e}); this suite will not fully resume",
-                        store.dir().display()
-                    ),
-                );
-            }
+        match store.put(&key, result) {
+            Ok(()) => put_any.store(true, Ordering::Relaxed),
+            Err(e) => degrade(store, "put", e),
         }
     };
 
@@ -480,6 +487,13 @@ pub fn run_suite_supervised(
             }
         }
     });
+    // One durability barrier for every run the pool put (store module
+    // docs, *Durability*), in place of one fsync per put.
+    if let (Some(store), true) = (&sup.store, put_any.into_inner()) {
+        if let Err(e) = store.sync() {
+            degrade(store, "sync", e);
+        }
+    }
 
     let mut outcomes = Vec::with_capacity(slots.len());
     let mut metrics = Vec::with_capacity(slots.len());

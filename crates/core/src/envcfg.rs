@@ -1,14 +1,12 @@
 //! Shared parsing for the numeric `RESTUNE_*` tuning knobs.
 //!
-//! The integer knobs (`RESTUNE_WORKERS`, `RESTUNE_SERVER_QUEUE`,
-//! `RESTUNE_SERVER_CLIENTS`, `RESTUNE_BACKOFF_CAP_MS`,
-//! `RESTUNE_STORE_MAX_BYTES`) and the seconds knobs
-//! (`RESTUNE_SERVER_DEADLINE`, `RESTUNE_STORE_MAX_AGE_SECS`) all follow the
-//! same contract: a positive value is honored, anything else warns once per
-//! knob on stderr (through [`crate::obs::warn`], so the warning also lands
-//! in the trace stream and warn counters) and falls back to the knob's
-//! default. [`positive_usize`] and [`positive_f64`] are that contract in one
-//! place; the callers keep their own defaults, clamps, and warn categories.
+//! The integer knobs (`RESTUNE_WORKERS`, `RESTUNE_BACKOFF_CAP_MS`,
+//! `RESTUNE_STORE_MAX_BYTES`) all follow the same contract: a positive
+//! value is honored, anything else warns once per knob on stderr (through
+//! [`crate::obs::warn`], so the warning also lands in the trace stream and
+//! warn counters) and falls back to the knob's default. [`positive_usize`]
+//! is that contract in one place; the callers keep their own defaults,
+//! clamps, and warn categories.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -58,33 +56,6 @@ pub(crate) fn positive_usize(
     }
 }
 
-/// Reads environment variable `name` as a positive, finite float (seconds,
-/// typically). Same warn-once contract as [`positive_usize`].
-pub(crate) fn positive_f64(
-    name: &'static str,
-    category: &'static str,
-    fallback_desc: &str,
-) -> Option<f64> {
-    match std::env::var(name) {
-        Ok(raw) => match raw.trim().parse::<f64>() {
-            Ok(v) if v.is_finite() && v > 0.0 => Some(v),
-            _ => {
-                if warned().lock().unwrap().insert(name) {
-                    crate::obs::warn(
-                        category,
-                        &format!(
-                            "invalid {name}='{raw}' (need a positive number); \
-                             using {fallback_desc}"
-                        ),
-                    );
-                }
-                None
-            }
-        },
-        Err(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,25 +74,6 @@ mod tests {
         for (value, expected) in cases {
             let got = with_env(&[("RESTUNE_ENVCFG_TEST", value)], || {
                 positive_usize("RESTUNE_ENVCFG_TEST", "engine", "the default")
-            });
-            assert_eq!(got, expected, "value {value:?}");
-        }
-    }
-
-    #[test]
-    fn float_knob_requires_positive_finite_values() {
-        let cases: [(Option<&str>, Option<f64>); 7] = [
-            (None, None),
-            (Some("2.5"), Some(2.5)),
-            (Some(" 30 "), Some(30.0)),
-            (Some("0"), None),
-            (Some("-1.5"), None),
-            (Some("inf"), None),
-            (Some("soon"), None),
-        ];
-        for (value, expected) in cases {
-            let got = with_env(&[("RESTUNE_ENVCFG_F64_TEST", value)], || {
-                positive_f64("RESTUNE_ENVCFG_F64_TEST", "server", "the default")
             });
             assert_eq!(got, expected, "value {value:?}");
         }

@@ -1012,9 +1012,10 @@ pub struct FailureReport {
     pub injections: Vec<InjectionEvent>,
     /// Run-store records found damaged.
     pub storage: Vec<StorageIncident>,
-    /// `true` when at least one run-store put failed: results are still
-    /// correct, but the unwritten runs are not stored (a resume would
-    /// re-run them).
+    /// `true` when at least one run-store put, or the suite's durability
+    /// barrier, failed: results are still correct, but the unwritten runs
+    /// are not stored, or the stored ones may not survive an OS crash (a
+    /// resume would re-run them).
     pub store_degraded: bool,
 }
 

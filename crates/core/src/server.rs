@@ -24,9 +24,10 @@
 //!   exactly this, so a restarted server resumes from the cache;
 //! * **crash-consistent result cache** — every completed job is one
 //!   [`RunStore`] record under `server/store/` in the cache directory,
-//!   fsync'd and renamed into place before its reply is sent, so the same
-//!   job is never simulated twice, across tenants *and* across server
-//!   restarts.
+//!   renamed into place before its reply is sent, so the same job is never
+//!   simulated twice, across tenants *and* across server restarts; a
+//!   graceful drain ends with one [`RunStore::sync`], after which every
+//!   record also survives an OS crash.
 //!
 //! Seeded *network* fault injection (`ServerConfig::net_fault_seed`,
 //! `restuned --faults`) arms a deterministic subset of accepted
@@ -269,8 +270,9 @@ impl FramedConn {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Tunables for a [`Server`]. [`ServerConfig::from_env`] reads the
-/// `RESTUNE_SERVER_*` knobs through the shared warn-once env parser.
+/// Tunables for a [`Server`]. [`ServerConfig::from_env`] gives the
+/// defaults, with the worker count from `RESTUNE_WORKERS`; `restuned`'s
+/// flags override them.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum queued (admitted but not yet running) jobs across all
@@ -308,35 +310,15 @@ pub struct ServerConfig {
 const DEFAULT_QUEUE_LIMIT: usize = 256;
 /// Default bound on simultaneous clients.
 const DEFAULT_MAX_CLIENTS: usize = 64;
-/// Default per-request watchdog deadline in seconds.
-const DEFAULT_DEADLINE_SECS: f64 = 120.0;
+/// Default per-request watchdog deadline.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(120);
 
 impl ServerConfig {
-    /// Builds a configuration from the environment: `RESTUNE_SERVER_QUEUE`
-    /// (default 256), `RESTUNE_SERVER_CLIENTS` (default 64),
-    /// `RESTUNE_SERVER_DEADLINE` seconds (default 120), and
-    /// `RESTUNE_WORKERS` (default: available parallelism) — each through
-    /// the shared warn-once parser, so an invalid value warns exactly once
-    /// and falls back.
+    /// The default configuration — a queue of 256 jobs, 64 clients, a
+    /// 120 s request deadline — with `RESTUNE_WORKERS` worker threads
+    /// (default: available parallelism; an invalid value warns once and
+    /// falls back).
     pub fn from_env() -> Self {
-        let queue_limit = crate::envcfg::positive_usize(
-            "RESTUNE_SERVER_QUEUE",
-            "server",
-            "the default queue limit (256)",
-        )
-        .unwrap_or(DEFAULT_QUEUE_LIMIT);
-        let max_clients = crate::envcfg::positive_usize(
-            "RESTUNE_SERVER_CLIENTS",
-            "server",
-            "the default client limit (64)",
-        )
-        .unwrap_or(DEFAULT_MAX_CLIENTS);
-        let deadline = crate::envcfg::positive_f64(
-            "RESTUNE_SERVER_DEADLINE",
-            "server",
-            "the default request deadline (120s)",
-        )
-        .unwrap_or(DEFAULT_DEADLINE_SECS);
         let workers =
             crate::envcfg::positive_usize("RESTUNE_WORKERS", "server", "available parallelism")
                 .unwrap_or_else(|| {
@@ -345,9 +327,9 @@ impl ServerConfig {
                         .unwrap_or(1)
                 });
         Self {
-            queue_limit,
-            max_clients,
-            default_deadline: Some(Duration::from_secs_f64(deadline)),
+            queue_limit: DEFAULT_QUEUE_LIMIT,
+            max_clients: DEFAULT_MAX_CLIENTS,
+            default_deadline: Some(DEFAULT_DEADLINE),
             workers,
             frame_timeout: Duration::from_secs(5),
             retry_after: Duration::from_millis(100),
@@ -553,6 +535,9 @@ struct Shared {
     readers: Mutex<Vec<JoinHandle<()>>>,
     store: RunStore,
     store_write_warned: AtomicBool,
+    /// Whether any record was persisted, so the drain has something to
+    /// sync.
+    persisted: AtomicBool,
     counters: Counters,
     next_conn_id: AtomicU64,
     generation: u64,
@@ -589,6 +574,8 @@ impl Shared {
                     ),
                 );
             }
+        } else {
+            self.persisted.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -612,9 +599,8 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Binds `endpoint`, bounds the persistent result store
-    /// ([`RunStore::evict`]: `RESTUNE_STORE_MAX_BYTES` /
-    /// `RESTUNE_STORE_MAX_AGE_SECS`), and spawns the accept loop and worker pool. Nothing is
-    /// loaded: every lookup reads its one record.
+    /// ([`RunStore::evict`]), and spawns the accept loop and worker pool.
+    /// Nothing is loaded: every lookup reads its one record.
     pub fn start(endpoint: Endpoint, cfg: ServerConfig) -> io::Result<Server> {
         let listener = Listener::bind(&endpoint)?;
         let server_dir = cfg
@@ -646,6 +632,7 @@ impl Server {
             readers: Mutex::new(Vec::new()),
             store,
             store_write_warned: AtomicBool::new(false),
+            persisted: AtomicBool::new(false),
             counters: Counters::default(),
             next_conn_id: AtomicU64::new(1),
             generation,
@@ -734,8 +721,10 @@ impl Server {
 
     /// Graceful shutdown: drain admissions, let queued and in-flight jobs
     /// finish (every completed job is already persisted in the result
-    /// store), then stop every thread, close every connection, and remove
-    /// the unix socket file. Returns the final counters.
+    /// store), then stop every thread, close every connection, remove the
+    /// unix socket file, and — if any job was persisted — sync the store
+    /// once, so its records survive an OS crash. A failed sync warns.
+    /// Returns the final counters.
     pub fn drain_and_stop(mut self) -> ServerStats {
         self.begin_drain();
         loop {
@@ -753,6 +742,19 @@ impl Server {
         }
         self.stop_threads();
         self.stopped = true;
+        // The workers have joined: every record they will put is in place.
+        if self.shared.persisted.load(Ordering::Relaxed) {
+            if let Err(e) = self.shared.store.sync() {
+                crate::obs::warn(
+                    "server",
+                    &format!(
+                        "{}: result-store sync failed ({e}); cached jobs may not survive \
+                         an OS crash",
+                        self.shared.store.dir().display()
+                    ),
+                );
+            }
+        }
         self.stats()
     }
 
@@ -1209,8 +1211,9 @@ fn run_job(shared: &Arc<Shared>, job: &PendingJob) {
     shared.count(&shared.counters.jobs_run);
     let reply = match &outcome {
         Ok(inst) => {
-            // Persisted before the reply leaves: a tenant that has its
-            // answer can count on a restarted server having it too.
+            // Renamed into place before the reply leaves: a tenant that has
+            // its answer can count on a restarted server process having it
+            // too, and after the drain's sync, a rebooted host.
             let payload = wire::encode_result(inst);
             shared.persist(&key, &payload);
             wire::encode_reply_from_result_payload(job.req_id, false, &payload)
@@ -1256,34 +1259,17 @@ mod tests {
 
     #[test]
     fn config_reads_the_server_knobs_through_envcfg() {
-        let cfg = with_env(
-            &[
-                ("RESTUNE_SERVER_QUEUE", Some("7")),
-                ("RESTUNE_SERVER_CLIENTS", Some("3")),
-                ("RESTUNE_SERVER_DEADLINE", Some("1.5")),
-                ("RESTUNE_WORKERS", Some("2")),
-            ],
-            ServerConfig::from_env,
-        );
-        assert_eq!(cfg.queue_limit, 7);
-        assert_eq!(cfg.max_clients, 3);
-        assert_eq!(cfg.default_deadline, Some(Duration::from_secs_f64(1.5)));
+        let cfg = with_env(&[("RESTUNE_WORKERS", Some("2"))], ServerConfig::from_env);
         assert_eq!(cfg.workers, 2);
-
-        let cfg = with_env(
-            &[
-                ("RESTUNE_SERVER_QUEUE", None),
-                ("RESTUNE_SERVER_CLIENTS", None),
-                ("RESTUNE_SERVER_DEADLINE", None),
-            ],
-            ServerConfig::from_env,
-        );
         assert_eq!(cfg.queue_limit, DEFAULT_QUEUE_LIMIT);
         assert_eq!(cfg.max_clients, DEFAULT_MAX_CLIENTS);
-        assert_eq!(
-            cfg.default_deadline,
-            Some(Duration::from_secs_f64(DEFAULT_DEADLINE_SECS))
-        );
+        assert_eq!(cfg.default_deadline, Some(DEFAULT_DEADLINE));
+
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for invalid in [None, Some("0"), Some("many")] {
+            let cfg = with_env(&[("RESTUNE_WORKERS", invalid)], ServerConfig::from_env);
+            assert_eq!(cfg.workers, parallelism, "RESTUNE_WORKERS={invalid:?}");
+        }
     }
 
     #[test]

@@ -8,6 +8,27 @@
 //! `id=` identity row, and one CRC-trailed data row, written
 //! crash-consistently ([`atomic_write`]).
 //!
+//! # Durability
+//!
+//! A put writes a tmp file and renames it into place, so after any process
+//! death a record is whole or absent. The put itself syncs nothing; one
+//! barrier, [`RunStore::sync`], does that for many puts:
+//!
+//! * a record whose put returned survives the death of its process
+//!   (SIGKILL, `abort`, an OOM kill): the renamed file lives in the page
+//!   cache;
+//! * it survives an OS crash or power loss once its suite has returned —
+//!   [`crate::engine::run_suite_supervised`] syncs once after its pool
+//!   joins, if it put anything — or once its server has drained
+//!   ([`crate::server::Server::drain_and_stop`] syncs once after its
+//!   workers join);
+//! * a power loss before that point leaves the record whole, absent, or
+//!   failing its header or CRC check; a failing record is deleted and
+//!   re-simulated, never replayed.
+//!
+//! Off Linux there is no `syncfs(2)`: each put syncs its tmp file before the
+//! rename, and the barrier has nothing left to do.
+//!
 //! The engine reads and writes the store itself (see
 //! [`crate::engine::run_suite_supervised`]): stored runs replay, fresh runs
 //! are put the moment they succeed. A checkpoint is therefore just the
@@ -34,8 +55,13 @@ const RUN_SCHEMA: u32 = 1;
 /// Default size bound of the run store (256 MiB).
 const STORE_MAX_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Default age past which an untouched store record is evicted (30 days).
+/// Age past which an untouched store record is evicted (30 days).
 const STORE_MAX_AGE: Duration = Duration::from_secs(30 * 24 * 3600);
+
+/// Age past which a put's tmp file is the leftover of a process that died
+/// between creating and renaming it: a live put renames within
+/// milliseconds.
+const TMP_GRACE: Duration = Duration::from_secs(3600);
 
 /// A fully-qualified cache key: the 64-bit FNV-1a fingerprint plus the
 /// identity string it was hashed from.
@@ -142,9 +168,10 @@ fn discard_stale(path: &Path, why: &str) {
 }
 
 /// Writes `bytes` to `path` crash-consistently: the data goes to a sibling
-/// tmp file, is fsynced, and is renamed over the target, so a crash or
-/// SIGKILL at any instant leaves either the old complete file or the new
-/// one — never a torn mix.
+/// tmp file that is renamed over the target, so a process death at any
+/// instant leaves either the old complete file or the new one — never a
+/// torn mix. Surviving an OS crash is [`RunStore::sync`]'s job; off Linux,
+/// where that barrier is a no-op, the tmp file is synced before its rename.
 ///
 /// Every call gets its own tmp file (process id plus a process-wide
 /// sequence number), so concurrent writers of one path — two threads
@@ -164,6 +191,7 @@ fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let result = (|| {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
+        #[cfg(not(target_os = "linux"))]
         file.sync_all()?;
         std::fs::rename(&tmp, path)
     })();
@@ -240,10 +268,39 @@ fn parse_row(line: &str) -> Option<SimResult> {
     Some(result)
 }
 
+/// Writes back everything pending on the filesystem holding `dir`.
+#[cfg(target_os = "linux")]
+fn sync_filesystem(dir: &Path) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    use std::os::raw::c_int;
+
+    // Raw glibc, no libc crate: the workspace is offline.
+    extern "C" {
+        fn syncfs(fd: c_int) -> c_int;
+    }
+
+    let dir = std::fs::File::open(dir)?;
+    // SAFETY: syncfs takes any open file descriptor and only reads it; `dir`
+    // stays open for the duration of the call.
+    if unsafe { syncfs(dir.as_raw_fd()) } == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
+    }
+}
+
+/// Off Linux every put synced its own record before the rename, so nothing
+/// is pending.
+#[cfg(not(target_os = "linux"))]
+fn sync_filesystem(_dir: &Path) -> io::Result<()> {
+    Ok(())
+}
+
 /// What [`RunStore::evict`] removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvictStats {
-    /// Records removed.
+    /// Files removed: records, and the tmp files of puts whose process
+    /// died before the rename.
     pub files: u64,
     /// Bytes reclaimed.
     pub bytes: u64,
@@ -257,7 +314,8 @@ pub struct EvictStats {
 /// a miss with an `obs::warn`, never a silent wrong-result reuse, and the
 /// colliding file — valid for its own configuration — is left in place.
 /// Stale, torn or damaged records are deleted and re-simulated. Writes are
-/// crash-consistent.
+/// crash-consistent, and durable against an OS crash once
+/// [`RunStore::sync`] returns (module docs, *Durability*).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunStore {
     dir: PathBuf,
@@ -304,7 +362,9 @@ impl RunStore {
         result
     }
 
-    /// Records `result` under `key`, crash-consistently.
+    /// Records `result` under `key`, crash-consistently: the record
+    /// survives the death of this process once the call returns, and an OS
+    /// crash once [`RunStore::sync`] has returned after it.
     ///
     /// # Errors
     ///
@@ -397,11 +457,26 @@ impl RunStore {
         atomic_write(&self.path_for(key), Self::record(key, row).as_bytes())
     }
 
-    /// Bounds the store: removes records untouched for longer than
-    /// `RESTUNE_STORE_MAX_AGE_SECS` (default 30 days), then — oldest first —
-    /// until the store fits in `RESTUNE_STORE_MAX_BYTES` (default 256 MiB).
-    /// Evictions are surfaced on the `store.evictions` counter. Called at
-    /// the end of every [`crate::sweep::run_sweep`], at every
+    /// The durability barrier: one `syncfs(2)` on the filesystem holding
+    /// the store, after which every record put so far survives an OS crash
+    /// or power loss (a no-op off Linux, where each put synced its own
+    /// record). Counted on `store.syncs`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure to open the store directory or to sync.
+    pub fn sync(&self) -> io::Result<()> {
+        obs::counter_add("store.syncs", 1);
+        sync_filesystem(&self.dir)
+    }
+
+    /// Bounds the store: removes records untouched for longer than 30 days,
+    /// then — oldest first — until the store fits in
+    /// `RESTUNE_STORE_MAX_BYTES` (default 256 MiB). It also removes the tmp
+    /// file a put leaves behind when its process dies before the rename,
+    /// once that file is an hour old. Removals are surfaced on the
+    /// `store.evictions` counter. Called at the end of every
+    /// [`crate::sweep::run_sweep`], at every
     /// [`crate::server::Server::start`], and after a base suite simulated
     /// into its store; without a bound, a long-lived cache directory would
     /// accumulate every run ever produced.
@@ -410,13 +485,6 @@ impl RunStore {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return EvictStats::default();
         };
-        let max_age = crate::envcfg::positive_f64(
-            "RESTUNE_STORE_MAX_AGE_SECS",
-            "store",
-            "the 30-day default store age bound",
-        )
-        .map(Duration::from_secs_f64)
-        .unwrap_or(STORE_MAX_AGE);
         let max_bytes = crate::envcfg::positive_usize(
             "RESTUNE_STORE_MAX_BYTES",
             "store",
@@ -429,26 +497,34 @@ impl RunStore {
         // eviction order is deterministic even for records written within
         // one filesystem timestamp granule.
         let mut records = Vec::new();
+        let mut stats = EvictStats::default();
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str().map(str::to_string) else {
                 continue;
             };
-            if !(name.starts_with("run-") && name.ends_with(".tsv")) {
+            if !name.starts_with("run-") {
                 continue;
             }
             let Ok(meta) = entry.metadata() else { continue };
             let Ok(modified) = meta.modified() else {
                 continue;
             };
-            records.push((modified, name, entry.path(), meta.len()));
+            if name.ends_with(".tsv") {
+                records.push((modified, name, entry.path(), meta.len()));
+            } else if name.contains(".tmp.")
+                && modified.elapsed().is_ok_and(|age| age > TMP_GRACE)
+                && std::fs::remove_file(entry.path()).is_ok()
+            {
+                stats.files += 1;
+                stats.bytes += meta.len();
+            }
         }
         records.sort();
 
-        let mut stats = EvictStats::default();
         let mut total: u64 = records.iter().map(|(_, _, _, len)| len).sum();
         for (modified, _, path, len) in &records {
-            let expired = modified.elapsed().is_ok_and(|age| age > max_age);
+            let expired = modified.elapsed().is_ok_and(|age| age > STORE_MAX_AGE);
             if !(expired || total > max_bytes) {
                 continue;
             }
@@ -587,6 +663,33 @@ mod tests {
         for sim in &sims {
             assert_eq!(store.get(&run_key(&profile, &Technique::Base, sim)), None);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn eviction_removes_stale_put_leftovers_only() {
+        let dir = scratch("tmp-leftovers");
+        let store = RunStore::open(dir.clone());
+        let profile = spec2k::by_name("mcf").expect("mcf is in the suite");
+        let key = run_key(&profile, &Technique::Base, &SimConfig::isca04(20_000));
+        store.put(&key, &sample_result()).expect("put succeeds");
+
+        // Tmp files named as `atomic_write` names them, left by a process
+        // that died before its rename: one long ago, one just now.
+        let stale = store.path_for(&key).with_extension("tmp.4242.0");
+        let fresh = store.path_for(&key).with_extension("tmp.4242.1");
+        std::fs::write(&stale, b"torn").expect("plant the stale tmp file");
+        std::fs::write(&fresh, b"in flight").expect("plant the fresh tmp file");
+        std::fs::File::options()
+            .write(true)
+            .open(&stale)
+            .and_then(|f| f.set_modified(std::time::SystemTime::now() - 2 * TMP_GRACE))
+            .expect("age the stale tmp file");
+
+        assert_eq!(store.evict(), EvictStats { files: 1, bytes: 4 });
+        assert!(!stale.exists(), "a leftover past the grace is removed");
+        assert!(fresh.exists(), "a put that may still rename is left alone");
+        assert_eq!(store.get(&key), Some(sample_result()), "records stay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,8 @@
 //! Execution routes through [`run_suite_supervised`] with the sweep's
 //! store, so sweeps inherit the whole supervision stack — watchdogs,
 //! retries, store lookups and puts (an interrupted sweep resumes
-//! bit-identically), the worker pool, and `--connect` mesh offload —
+//! bit-identically), one durability barrier per suite that put a run, the
+//! worker pool, and `--connect` mesh offload —
 //! without any sweep-specific scheduling. Each (class, PDN) group finally
 //! reports its Pareto frontier over (violation cycles, slowdown,
 //! energy-delay); because every execution path is bit-exact, the frontier

@@ -48,8 +48,9 @@ struct RobEntry {
 ///
 /// Both modes issue and complete exactly the same instructions on exactly
 /// the same cycles — `FullScan` exists as the executable specification the
-/// event-driven scheduler is property-tested against, and as the pre-kernel
-/// baseline for the criterion benchmarks.
+/// event-driven scheduler is property-tested against, and as the scheduler
+/// of the pre-kernel reference loop that the kernel benchmark measures
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
     /// Event-driven scheduling: waiting instructions subscribe to one
