@@ -163,25 +163,32 @@ EOF
 # as expected; eviction removes such a leftover once it is an hour old.
 kill_dir=$(mktemp -d)
 kill_n=400000
-stored() { find "$kill_dir/store" -name 'run-*.tsv' 2>/dev/null | wc -l; }
+# The number of run-store records in cache dir $1.
+stored() { find "$1/store" -name 'run-*.tsv' 2>/dev/null | wc -l; }
+# Waits until the suite_check with pid $2 has stored 8 records in cache dir
+# $1 (~1 s into a -n 400000 suite); fails the stage named $3 if it finishes
+# first or takes over 120 s.
+await_records() {
+    deadline=$(( $(date +%s) + 120 ))
+    while [ "$(stored "$1")" -lt 8 ]; do
+        kill -0 "$2" 2>/dev/null || {
+            echo "$3: suite_check finished before it could be signalled" >&2
+            exit 1
+        }
+        [ "$(date +%s)" -lt "$deadline" ] || {
+            kill -KILL "$2"
+            echo "$3: suite_check stored no 8 records in 120 s" >&2
+            exit 1
+        }
+        sleep 0.05
+    done
+}
 RESTUNE_CACHE_DIR="$kill_dir" RESTUNE_ISOLATION=thread \
     ./target/release/suite_check -n "$kill_n" --resume --json \
     > /dev/null &
 victim=$!
-deadline=$(( $(date +%s) + 120 ))
-while [ "$(stored)" -lt 8 ]; do
-    kill -0 "$victim" 2>/dev/null || {
-        echo "chaos smoke: suite_check finished before it could be killed" >&2
-        exit 1
-    }
-    [ "$(date +%s)" -lt "$deadline" ] || {
-        kill -KILL "$victim"
-        echo "chaos smoke: suite_check stored no 8 records in 120 s" >&2
-        exit 1
-    }
-    sleep 0.05
-done
-before_kill=$(stored)
+await_records "$kill_dir" "$victim" "chaos smoke"
+before_kill=$(stored "$kill_dir")
 kill -KILL "$victim"
 status=0
 wait "$victim" || status=$?
@@ -215,6 +222,72 @@ leftovers = sum(".tmp." in name for name in names)
 print(f"harness kill ok: {before_kill} records before the SIGKILL, {replays} of "
       f"{len(rows)} runs replayed on resume, {leftovers} tmp leftovers")
 EOF
+
+echo "==> flag invariance and the exit rule (the seven suite harnesses)"
+# Every suite harness runs with --json -n 5000 twice, each on a fresh cache:
+# with no flags (the inert policy, served through the base-suite memo) and
+# with --resume (through the run store). Every section but run_metrics
+# (timings and memo counters) and failures must be equal; the inert run
+# prints no failures section and the --resume run an empty one.
+flags_dir=$(mktemp -d)
+for h in table2_classification table3_tuning table3_riscv table4_sensor \
+        table5_damping fig5_comparison suite_check; do
+    RESTUNE_CACHE_DIR="$(mktemp -d)" \
+        ./target/release/$h --json -n 5000 > "$flags_dir/$h.plain.json"
+    RESTUNE_CACHE_DIR="$(mktemp -d)" \
+        ./target/release/$h --json -n 5000 --resume > "$flags_dir/$h.resume.json"
+done
+python3 - "$flags_dir" <<'EOF'
+import json, os, sys
+d = sys.argv[1]
+names = sorted({f.split(".")[0] for f in os.listdir(d)})
+assert len(names) == 7, f"expected seven harnesses, got {names}"
+for name in names:
+    plain, resume = (json.load(open(f"{d}/{name}.{mode}.json"))
+                     for mode in ("plain", "resume"))
+    assert "failures" not in plain, f"{name}: the inert run printed a failures section"
+    assert resume.get("failures") == [], \
+        f"{name}: --resume reported failures: {resume.get('failures')}"
+    sections = [s for s in plain if s != "run_metrics"]
+    assert sections == [s for s in resume if s not in ("run_metrics", "failures")], \
+        f"{name}: sections differ: {list(plain)} vs {list(resume)}"
+    for s in sections:
+        assert plain[s] == resume[s], \
+            f"{name}: section {s!r} differs between no flags and --resume"
+print(f"flag invariance ok: {len(names)} harnesses report the same sections "
+      f"with and without --resume")
+EOF
+# The exit rule: an unplanned failure exits 1 and still prints its report.
+# A 1 us watchdog times out every run at cycle 0.
+status=0
+RESTUNE_CACHE_DIR="$(mktemp -d)" ./target/release/table2_classification \
+    -n 2000 --timeout 0.000001 > "$flags_dir/timeout.out" || status=$?
+[ "$status" -eq 1 ] || {
+    echo "exit rule: an unplanned timeout exited $status, not 1" >&2
+    exit 1
+}
+grep -q '(timeout: ' "$flags_dir/timeout.out" || {
+    echo "exit rule: the timed-out run printed no failures" >&2
+    exit 1
+}
+# A SIGINT exits 130, after the partial report lists the interrupted slots.
+int_dir=$(mktemp -d)
+RESTUNE_CACHE_DIR="$int_dir" RESTUNE_ISOLATION=thread \
+    ./target/release/suite_check -n "$kill_n" --resume > "$flags_dir/sigint.out" &
+victim=$!
+await_records "$int_dir" "$victim" "exit rule"
+kill -INT "$victim"
+status=0
+wait "$victim" || status=$?
+[ "$status" -eq 130 ] || {
+    echo "exit rule: suite_check exited $status after SIGINT, not 130" >&2
+    exit 1
+}
+grep -q '(interrupted: ' "$flags_dir/sigint.out" || {
+    echo "exit rule: the interrupted suite listed no interrupted slots" >&2
+    exit 1
+}
+echo "exit rule ok: an unplanned failure exits 1; SIGINT exits 130 with a partial report"
 
 echo "==> trace smoke (traced suite bit-identical, schema-valid, windows present)"
 # A traced run must be pure observation: the "suite_check" section (the

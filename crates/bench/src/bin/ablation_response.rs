@@ -11,8 +11,7 @@
 //!   backstop protects the margin.
 
 use bench::{format_table, HarnessArgs};
-use restune::experiment::{compare_suites, run_suite};
-use restune::{SimConfig, Summary, Technique, TuningConfig};
+use restune::{try_run_suite, RelativeOutcome, SimConfig, Summary, Technique, TuningConfig};
 use workloads::spec2k;
 
 fn main() {
@@ -36,7 +35,11 @@ fn main() {
     };
 
     let apps = spec2k::violating();
-    let base = run_suite(&apps, &Technique::Base, &sim);
+    let run_suite = |technique: &Technique| match try_run_suite(&apps, technique, &sim) {
+        Ok(suite) => suite.results,
+        Err(e) => panic!("{e}"),
+    };
+    let base = run_suite(&Technique::Base);
     let base_violations: u64 = base.iter().map(|r| r.violation_cycles).sum();
 
     let mut rows = Vec::new();
@@ -45,8 +48,12 @@ fn main() {
         ("react on first event", react_on_first),
         ("second-level only", second_only),
     ] {
-        let results = run_suite(&apps, &Technique::Tuning(config), &sim);
-        let outcomes = compare_suites(&base, &results);
+        let results = run_suite(&Technique::Tuning(config));
+        let outcomes: Vec<_> = base
+            .iter()
+            .zip(&results)
+            .map(|(b, t)| RelativeOutcome::new(b, t))
+            .collect();
         let s = Summary::from_outcomes(&outcomes);
         rows.push(vec![
             label.to_string(),

@@ -3,18 +3,19 @@
 //! voltage-sensor technique of \[10\] (20/10/5 and 20/15/3), and pipeline
 //! damping \[14\] (δ = 0.5 and 0.25).
 
+use std::process::ExitCode;
+
 use bench::{
-    failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
-    push_outcomes, run_metrics_report, HarnessArgs, Report,
+    format_table, outcomes_report, print_failure_reports, print_json, push_outcomes,
+    run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::{cached_base_suite, SupervisedSuite};
-use restune::experiment::{
-    base_suite_supervised, compare_suites, paired_outcomes, run_suite, run_suite_policed,
+use restune::experiment::{paired_outcomes, run_suite_policed};
+use restune::{
+    base_suite, DampingConfig, SensorConfig, SimConfig, Summary, Technique, TuningConfig,
 };
-use restune::{DampingConfig, SensorConfig, SimConfig, Summary, Technique, TuningConfig};
 use workloads::spec2k;
 
-fn main() {
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -23,14 +24,7 @@ fn main() {
     let sim = SimConfig::isca04(args.instructions);
 
     let profiles = spec2k::all();
-    let supervised_base: Option<SupervisedSuite> =
-        (!policy.is_inert()).then(|| base_suite_supervised(&sim, &policy));
-    let plain_base = policy.is_inert().then(|| cached_base_suite(&sim));
-    let base: Vec<_> = match (&plain_base, &supervised_base) {
-        (Some(suite), _) => suite.results.clone(),
-        (None, Some(_)) => Vec::new(),
-        (None, None) => unreachable!("one base path is always taken"),
-    };
+    let base = base_suite(&sim, &policy);
 
     let points: Vec<(&str, Technique)> = vec![
         (
@@ -63,23 +57,11 @@ fn main() {
     let mut bars = Vec::new();
     let mut fig5 = Report::new(&["design_point", "avg_energy_delay", "avg_slowdown"]);
     let mut outcome_rows = outcomes_report();
-    let mut reports = Vec::new();
-    if let Some(b) = &supervised_base {
-        reports.push(b.report.clone());
-    }
+    let mut reports = vec![base.report.clone()];
     for (label, technique) in &points {
-        let outcomes = match &supervised_base {
-            None => {
-                let results = run_suite(&profiles, technique, &sim);
-                compare_suites(&base, &results)
-            }
-            Some(b) => {
-                let suite = run_suite_policed(&profiles, technique, &sim, &policy, label);
-                let outcomes = paired_outcomes(b, &suite);
-                reports.push(suite.report);
-                outcomes
-            }
-        };
+        let suite = run_suite_policed(&profiles, technique, &sim, &policy, label);
+        let outcomes = paired_outcomes(&base, &suite);
+        reports.push(suite.report);
         if outcomes.is_empty() {
             continue; // every pair failed at this design point
         }
@@ -99,23 +81,14 @@ fn main() {
     }
 
     if args.json {
-        let metrics = match (&plain_base, &supervised_base) {
-            (Some(suite), _) => run_metrics_report(&suite.metrics),
-            (_, Some(b)) => {
-                run_metrics_report(&b.metrics.iter().filter_map(|m| *m).collect::<Vec<_>>())
-            }
-            (None, None) => unreachable!("one base path is always taken"),
-        };
-        let mut sections = vec![
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![
             ("fig5", fig5),
             ("outcomes", outcome_rows),
             ("run_metrics", metrics),
         ];
-        if !policy.is_inert() {
-            sections.push(("failures", failure_report_section(&reports)));
-        }
-        println!("{}", json_document(&sections));
-        return;
+        print_json(sections, &policy, &reports);
+        return bench::exit_code(&policy, &reports);
     }
 
     println!("=== Figure 5: energy-delay comparison of techniques ===");
@@ -137,4 +110,5 @@ fn main() {
          (resonance tuning outperforms both prior schemes at realistic design points)"
     );
     print_failure_reports(&reports);
+    bench::exit_code(&policy, &reports)
 }

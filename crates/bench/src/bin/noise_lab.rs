@@ -1,22 +1,21 @@
-//! `noise-lab` — the umbrella command-line interface over the whole
-//! library: supply analysis, calibration, guarantee analysis, single runs,
-//! and the paper's table sweeps, with optional CSV/JSON output.
+//! `noise-lab` — the circuit-level command-line interface over the
+//! library: supply impedance, calibration, guarantee analysis, impedance
+//! fitting, and single application runs, with optional CSV/JSON output.
+//! The paper's tables have their own harnesses (`table2_classification`,
+//! `table3_tuning`, `table4_sensor`, `table5_damping`).
 //!
 //! ```console
 //! $ cargo run --release -p bench --bin noise_lab -- help
-//! $ cargo run --release -p bench --bin noise_lab -- calibrate
+//! $ cargo run --release -p bench --bin noise_lab -- calibrate --out calibration.json
+//! $ cargo run --release -p bench --bin noise_lab -- impedance --out impedance.csv
 //! $ cargo run --release -p bench --bin noise_lab -- run --app swim --technique tuning
-//! $ cargo run --release -p bench --bin noise_lab -- classify -n 60000 --out table2.csv
-//! $ cargo run --release -p bench --bin noise_lab -- table3 --out table3.json
 //! ```
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use bench::format_table;
 use bench::report::Report;
-use restune::experiment::{run_base_suite, table2, table3, table4, table5};
 use restune::{
     analyze, run, DampingConfig, RelativeOutcome, SensorConfig, SimConfig, Technique, TuningConfig,
 };
@@ -36,14 +35,14 @@ commands:
   fit         round-trip impedance fit    [--supply table1|section2]
   run         one application, one technique
               --app NAME [--technique base|tuning|sensor|damping] [-n INSTRUCTIONS]
-  classify    Table 2 classification      [-n INSTRUCTIONS]
-  table3      tuning sweep                [-n INSTRUCTIONS]
-  table4      [10] sensor sweep           [-n INSTRUCTIONS]
-  table5      [14] damping sweep          [-n INSTRUCTIONS]
 
 common options:
-  --out PATH  also write results as CSV (or JSON when PATH ends in .json)
+  --out PATH  impedance and calibrate also write results as CSV (or JSON
+              when PATH ends in .json)
   --help      this text
+
+The paper's tables: table2_classification, table3_tuning, table4_sensor,
+table5_damping (each with --help).
 ";
 
 #[derive(Debug)]
@@ -281,152 +280,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(args: &Args) -> Result<(), String> {
-    let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let rows = table2(&sim);
-    let mut report = Report::new(&[
-        "app",
-        "ipc",
-        "violation_fraction",
-        "violating",
-        "paper_violating",
-    ]);
-    let mut printed = Vec::new();
-    for r in &rows {
-        report.push(vec![
-            r.app.into(),
-            r.ipc.into(),
-            r.violation_fraction.into(),
-            u64::from(r.violation_fraction > 0.0).into(),
-            u64::from(r.paper_violating).into(),
-        ]);
-        printed.push(vec![
-            r.app.to_string(),
-            format!("{:.2}", r.ipc),
-            format!("{:.2e}", r.violation_fraction),
-            if r.violation_fraction > 0.0 {
-                "violating".into()
-            } else {
-                "clean".into()
-            },
-        ]);
-    }
-    println!(
-        "{}",
-        format_table(&["app", "IPC", "viol frac", "class"], &printed)
-    );
-    emit(&report, args)
-}
-
-fn summary_report(rows: &[(String, restune::Summary)]) -> Report {
-    let mut report = Report::new(&[
-        "config",
-        "avg_slowdown",
-        "worst_slowdown",
-        "worst_app",
-        "avg_energy_delay",
-        "frac_first_level",
-        "frac_second_level",
-        "frac_sensor_response",
-        "residual_violations",
-    ]);
-    for (label, s) in rows {
-        report.push(vec![
-            label.as_str().into(),
-            s.avg_slowdown.into(),
-            s.worst_slowdown.into(),
-            s.worst_app.into(),
-            s.avg_energy_delay.into(),
-            s.avg_first_level_fraction.into(),
-            s.avg_second_level_fraction.into(),
-            s.avg_sensor_response_fraction.into(),
-            s.total_violation_cycles.into(),
-        ]);
-    }
-    report
-}
-
-fn print_summaries(rows: &[(String, restune::Summary)]) {
-    let printed: Vec<Vec<String>> = rows
-        .iter()
-        .map(|(label, s)| {
-            vec![
-                label.clone(),
-                format!("{:.3}", s.avg_slowdown),
-                format!("{:.3} ({})", s.worst_slowdown, s.worst_app),
-                format!("{:.3}", s.avg_energy_delay),
-                format!("{}", s.total_violation_cycles),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "config",
-                "avg slowdown",
-                "worst slowdown",
-                "avg E·D",
-                "resid viol"
-            ],
-            &printed
-        )
-    );
-}
-
-fn cmd_table3(args: &Args) -> Result<(), String> {
-    let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
-    let rows = table3(&sim, &[75, 100, 125, 150, 200], &base);
-    let labeled: Vec<(String, restune::Summary)> = rows
-        .iter()
-        .map(|r| (format!("tuning {} cy", r.initial_response_time), r.summary))
-        .collect();
-    print_summaries(&labeled);
-    emit(&summary_report(&labeled), args)
-}
-
-fn cmd_table4(args: &Args) -> Result<(), String> {
-    let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
-    let configs = [
-        SensorConfig::table4(30.0, 0.0, 0),
-        SensorConfig::table4(20.0, 0.0, 0),
-        SensorConfig::table4(30.0, 15.0, 0),
-        SensorConfig::table4(20.0, 10.0, 5),
-        SensorConfig::table4(20.0, 15.0, 3),
-    ];
-    let rows = table4(&sim, &configs, &base);
-    let labeled: Vec<(String, restune::Summary)> = rows
-        .iter()
-        .map(|r| {
-            (
-                format!(
-                    "[10] {:.0}mV/{:.0}mV/{}cy",
-                    r.config.target_threshold.volts() * 1e3,
-                    r.config.sensor_noise_pp.volts() * 1e3,
-                    r.config.delay_cycles
-                ),
-                r.summary,
-            )
-        })
-        .collect();
-    print_summaries(&labeled);
-    emit(&summary_report(&labeled), args)
-}
-
-fn cmd_table5(args: &Args) -> Result<(), String> {
-    let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
-    let base = run_base_suite(&sim);
-    let rows = table5(&sim, &[1.0, 0.5, 0.25], &base);
-    let labeled: Vec<(String, restune::Summary)> = rows
-        .iter()
-        .map(|r| (format!("damping δ={}", r.delta_relative), r.summary))
-        .collect();
-    print_summaries(&labeled);
-    emit(&summary_report(&labeled), args)
-}
-
 fn dispatch() -> Result<(), String> {
     let args = parse_args()?;
     match args.command.as_str() {
@@ -435,10 +288,6 @@ fn dispatch() -> Result<(), String> {
         "analyze" => cmd_analyze(&args),
         "fit" => cmd_fit(&args),
         "run" => cmd_run(&args),
-        "classify" => cmd_classify(&args),
-        "table3" => cmd_table3(&args),
-        "table4" => cmd_table4(&args),
-        "table5" => cmd_table5(&args),
         "help" | "--help" | "-h" => Err(USAGE.to_string()),
         other => Err(format!("unknown command: {other}\n\n{USAGE}")),
     }

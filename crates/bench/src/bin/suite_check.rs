@@ -3,20 +3,18 @@
 //!
 //! This is also the supervision smoke harness: `--faults SEED` injects a
 //! deterministic fault plan, `--timeout SECS` arms the watchdog, and
-//! `--resume` stores completed applications. Under an active policy
-//! the sweep degrades gracefully — failed applications are reported, the
-//! rest still print — and the process exits 0 as long as every failure was
-//! injected (a clean run that fails still exits 1).
+//! `--resume` stores completed applications. The sweep degrades gracefully
+//! — failed applications are reported, the rest still print — and exits by
+//! the harnesses' one rule ([`bench::exit_code`]).
 
-use bench::{
-    failure_report_section, json_document, print_failure_reports, run_metrics_report, HarnessArgs,
-    Report,
-};
-use restune::experiment::{base_suite_supervised, run_suite_policed};
-use restune::{SimConfig, Technique, TuningConfig};
+use std::process::ExitCode;
+
+use bench::{print_failure_reports, print_json, run_metrics_report, HarnessArgs, Report};
+use restune::experiment::run_suite_policed;
+use restune::{base_suite, SimConfig, Technique, TuningConfig};
 use workloads::spec2k;
 
-fn main() {
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -26,7 +24,7 @@ fn main() {
     let tun = Technique::Tuning(TuningConfig::isca04_table1(100));
     let profiles = spec2k::all();
 
-    let base = base_suite_supervised(&sim, &policy);
+    let base = base_suite(&sim, &policy);
     let tuned = run_suite_policed(&profiles, &tun, &sim, &policy, "tuning-100");
     let reports = [base.report.clone(), tuned.report.clone()];
 
@@ -50,24 +48,12 @@ fn main() {
                 ((b.violation_cycles > 0) == p.paper_violating).into(),
             ]);
         }
-        let metrics: Vec<_> = base
-            .metrics
-            .iter()
-            .chain(&tuned.metrics)
-            .filter_map(|m| *m)
-            .collect();
-        let mut sections = vec![
+        let metrics = base.metrics.iter().chain(&tuned.metrics).flatten();
+        let sections = vec![
             ("suite_check", rows),
-            ("run_metrics", run_metrics_report(&metrics)),
+            ("run_metrics", run_metrics_report(metrics)),
         ];
-        if policy.is_inert() {
-            // Clean mode stays bit-identical to the pre-supervision output
-            // shape: no failures section.
-            println!("{}", json_document(&sections));
-        } else {
-            sections.push(("failures", failure_report_section(&reports)));
-            println!("{}", json_document(&sections));
-        }
+        print_json(sections, &policy, &reports);
     } else {
         let (mut tb, mut tt) = (0u64, 0u64);
         let mut misclassified = 0;
@@ -105,11 +91,5 @@ fn main() {
         );
         print_failure_reports(&reports);
     }
-
-    // Degraded mode (an active fault plan) exits 0: injected failures are
-    // the experiment, not an error. A genuinely clean run that fails exits 1.
-    let clean = reports.iter().all(|r| r.failures.is_empty());
-    if !clean && !policy.plan.is_enabled() {
-        std::process::exit(1);
-    }
+    bench::exit_code(&policy, &reports)
 }

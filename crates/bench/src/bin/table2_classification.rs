@@ -1,26 +1,24 @@
 //! Table 2: classification of the 26 SPEC2K applications by noise-margin
 //! violations on the base machine, with IPCs and violation-cycle fractions.
 
-use bench::{
-    failure_report_section, format_table, json_document, print_failure_reports, run_metrics_report,
-    HarnessArgs, Report,
-};
-use restune::engine::cached_base_suite;
-use restune::experiment::{base_suite_supervised, table2, table2_from_supervised};
-use restune::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
+use bench::{
+    format_table, print_failure_reports, print_json, run_metrics_report, HarnessArgs, Report,
+};
+use restune::experiment::table2;
+use restune::{base_suite, SimConfig};
+
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
     let _connect = bench::init_connect(&args);
     let policy = args.policy();
     let sim = SimConfig::isca04(args.instructions);
-    let supervised = (!policy.is_inert()).then(|| base_suite_supervised(&sim, &policy));
-    let rows = match &supervised {
-        Some(base) => table2_from_supervised(base),
-        None => table2(&sim),
-    };
+    let base = base_suite(&sim, &policy);
+    let rows = table2(&base);
+    let reports = std::slice::from_ref(&base.report);
 
     if args.json {
         let mut table = Report::new(&[
@@ -42,30 +40,10 @@ fn main() {
                 (violating == r.paper_violating).into(),
             ]);
         }
-        match &supervised {
-            Some(base) => {
-                let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-                println!(
-                    "{}",
-                    json_document(&[
-                        ("table2", table),
-                        ("run_metrics", run_metrics_report(&metrics)),
-                        (
-                            "failures",
-                            failure_report_section(std::slice::from_ref(&base.report)),
-                        ),
-                    ])
-                );
-            }
-            None => {
-                let metrics = run_metrics_report(&cached_base_suite(&sim).metrics);
-                println!(
-                    "{}",
-                    json_document(&[("table2", table), ("run_metrics", metrics)])
-                );
-            }
-        }
-        return;
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![("table2", table), ("run_metrics", metrics)];
+        print_json(sections, &policy, reports);
+        return bench::exit_code(&policy, reports);
     }
 
     println!("=== Table 2: classification of SPEC2K applications ===");
@@ -128,7 +106,6 @@ fn main() {
         rows.len()
     );
     println!("(paper: 12 violating / 14 clean; violation fractions 3.2e-8 … 5.6e-3)");
-    if let Some(base) = &supervised {
-        print_failure_reports(std::slice::from_ref(&base.report));
-    }
+    print_failure_reports(reports);
+    bench::exit_code(&policy, reports)
 }

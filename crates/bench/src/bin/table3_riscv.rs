@@ -10,16 +10,16 @@
 //! drives the noise model: the `resonance` microbench must violate on
 //! the base machine and be contained by every technique.
 
+use std::process::ExitCode;
+
 use bench::{
-    failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
-    push_outcomes, run_metrics_report, HarnessArgs, Report,
+    format_table, outcomes_report, print_failure_reports, print_json, push_outcomes,
+    run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::cached_corpus_base_suite;
-use restune::experiment::{
-    compare_suites, corpus_base_suite_supervised, paired_outcomes, run_suite, run_suite_policed,
-    table3_riscv, table3_riscv_supervised, Table3Row,
+use restune::experiment::{paired_outcomes, run_suite_policed, table3_riscv, Table3Row};
+use restune::{
+    corpus_base_suite, DampingConfig, RelativeOutcome, SensorConfig, SimConfig, Summary, Technique,
 };
-use restune::{DampingConfig, RelativeOutcome, SensorConfig, SimConfig, Summary, Technique};
 use workloads::corpus;
 
 fn tuning_report(rows: &[Table3Row]) -> (Report, Report) {
@@ -76,7 +76,7 @@ fn programs_report() -> Report {
     r
 }
 
-fn main() {
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -89,44 +89,27 @@ fn main() {
     let sensor_technique = Technique::Sensor(SensorConfig::table4(20.0, 10.0, 5));
     let damping_technique = Technique::Damping(DampingConfig::isca04_table5(1.0));
 
-    let (rows, sensor_outcomes, damping_outcomes, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_corpus_base_suite(&sim);
-        let base = &base_suite.results;
-        let rows = table3_riscv(&sim, &response_times, base);
-        let sensor = run_suite(&corpus::all(), &sensor_technique, &sim);
-        let damping = run_suite(&corpus::all(), &damping_technique, &sim);
-        (
-            rows,
-            compare_suites(base, &sensor),
-            compare_suites(base, &damping),
-            base_suite.metrics.clone(),
-            Vec::new(),
-        )
-    } else {
-        let base = corpus_base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table3_riscv_supervised(&sim, &response_times, &base, &policy);
-        let sensor = run_suite_policed(
-            &corpus::all(),
-            &sensor_technique,
-            &sim,
-            &policy,
-            "sensor-20mV-10mV-5cy",
-        );
-        let damping = run_suite_policed(
-            &corpus::all(),
-            &damping_technique,
-            &sim,
-            &policy,
-            "damping-1",
-        );
-        let sensor_outcomes = paired_outcomes(&base, &sensor);
-        let damping_outcomes = paired_outcomes(&base, &damping);
-        reports.insert(0, base.report.clone());
-        reports.push(sensor.report);
-        reports.push(damping.report);
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, sensor_outcomes, damping_outcomes, metrics, reports)
-    };
+    let base = corpus_base_suite(&sim, &policy);
+    let (rows, mut reports) = table3_riscv(&sim, &response_times, &base, &policy);
+    let sensor = run_suite_policed(
+        &corpus::all(),
+        &sensor_technique,
+        &sim,
+        &policy,
+        "sensor-20mV-10mV-5cy",
+    );
+    let damping = run_suite_policed(
+        &corpus::all(),
+        &damping_technique,
+        &sim,
+        &policy,
+        "damping-1",
+    );
+    let sensor_outcomes = paired_outcomes(&base, &sensor);
+    let damping_outcomes = paired_outcomes(&base, &damping);
+    reports.insert(0, base.report.clone());
+    reports.push(sensor.report);
+    reports.push(damping.report);
 
     let technique_summaries: Vec<(&str, Summary, &[RelativeOutcome])> = [
         ("sensor-20mV-10mV-5cy", &sensor_outcomes),
@@ -158,19 +141,16 @@ fn main() {
             ]);
             push_outcomes(&mut outcomes, name, o);
         }
-        let metrics = run_metrics_report(&metrics);
-        let mut sections = vec![
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![
             ("programs", programs_report()),
             ("table3_riscv", table),
             ("techniques", techniques),
             ("outcomes", outcomes),
             ("run_metrics", metrics),
         ];
-        if !policy.is_inert() {
-            sections.push(("failures", failure_report_section(&reports)));
-        }
-        println!("{}", json_document(&sections));
-        return;
+        print_json(sections, &policy, &reports);
+        return bench::exit_code(&policy, &reports);
     }
 
     println!("=== Table 3 (RISC-V corpus): techniques on real programs ===");
@@ -264,4 +244,5 @@ fn main() {
          technique contains it at a small slowdown on the compute kernels"
     );
     print_failure_reports(&reports);
+    bench::exit_code(&policy, &reports)
 }

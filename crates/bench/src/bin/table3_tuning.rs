@@ -2,16 +2,14 @@
 //! cycles — fractions of cycles in first/second-level response, worst and
 //! average slowdowns, apps over 15 % slowdown, and relative energy-delay.
 
+use std::process::ExitCode;
+
 use bench::{
-    failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
-    push_outcomes, run_metrics_report, HarnessArgs, Report,
+    format_table, outcomes_report, print_failure_reports, print_json, push_outcomes,
+    run_metrics_report, HarnessArgs, Report,
 };
-use restune::engine::cached_base_suite;
-use restune::experiment::{
-    base_suite_supervised, compare_suites, paired_outcomes, run_suite, run_suite_policed, table3,
-    table3_supervised, Table3Row,
-};
-use restune::{SimConfig, Summary};
+use restune::experiment::{paired_outcomes, run_suite_policed, table3, Table3Row};
+use restune::{base_suite, SimConfig, Summary};
 
 fn summary_report(rows: &[Table3Row]) -> (Report, Report) {
     let mut table = Report::new(&[
@@ -48,7 +46,7 @@ fn summary_report(rows: &[Table3Row]) -> (Report, Report) {
     (table, outcomes)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -60,53 +58,34 @@ fn main() {
         restune::TuningConfig::isca04_table1(100).with_response_delay(5),
     );
 
+    let base = base_suite(&sim, &policy);
+    let (rows, mut reports) = table3(&sim, &response_times, &base, &policy);
     // The delay-sensitivity experiment of Section 5.2 rides along: 5-cycle
     // response delay at a 100-cycle initial response time.
-    let (rows, delayed_outcomes, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_base_suite(&sim);
-        let base = &base_suite.results;
-        let rows = table3(&sim, &response_times, base);
-        let delayed = run_suite(&workloads::spec2k::all(), &delayed_technique, &sim);
-        let delayed_outcomes = compare_suites(base, &delayed);
-        (
-            rows,
-            delayed_outcomes,
-            base_suite.metrics.clone(),
-            Vec::new(),
-        )
-    } else {
-        let base = base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table3_supervised(&sim, &response_times, &base, &policy);
-        let delayed = run_suite_policed(
-            &workloads::spec2k::all(),
-            &delayed_technique,
-            &sim,
-            &policy,
-            "tuning-100-delay-5",
-        );
-        let delayed_outcomes = paired_outcomes(&base, &delayed);
-        reports.insert(0, base.report.clone());
-        reports.push(delayed.report);
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, delayed_outcomes, metrics, reports)
-    };
+    let delayed = run_suite_policed(
+        &workloads::spec2k::all(),
+        &delayed_technique,
+        &sim,
+        &policy,
+        "tuning-100-delay-5",
+    );
+    let delayed_outcomes = paired_outcomes(&base, &delayed);
+    reports.insert(0, base.report.clone());
+    reports.push(delayed.report);
     let delayed_summary =
         (!delayed_outcomes.is_empty()).then(|| Summary::from_outcomes(&delayed_outcomes));
 
     if args.json {
         let (table, mut outcomes) = summary_report(&rows);
         push_outcomes(&mut outcomes, "tuning-100-delay-5", &delayed_outcomes);
-        let metrics = run_metrics_report(&metrics);
-        let mut sections = vec![
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![
             ("table3", table),
             ("outcomes", outcomes),
             ("run_metrics", metrics),
         ];
-        if !policy.is_inert() {
-            sections.push(("failures", failure_report_section(&reports)));
-        }
-        println!("{}", json_document(&sections));
-        return;
+        print_json(sections, &policy, &reports);
+        return bench::exit_code(&policy, &reports);
     }
 
     println!("=== Table 3: resonance tuning ===");
@@ -160,4 +139,5 @@ fn main() {
         println!("(paper: 5.8 % slowdown and 6.6 % energy-delay — ~1–2 % above the no-delay case)");
     }
     print_failure_reports(&reports);
+    bench::exit_code(&policy, &reports)
 }

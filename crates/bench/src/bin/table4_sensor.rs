@@ -1,15 +1,16 @@
 //! Table 4: the voltage-threshold technique of \[10\] swept over detection
 //! threshold, sensor noise, and sensing-to-response delay.
 
-use bench::{
-    failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
-    push_outcomes, run_metrics_report, HarnessArgs, Report,
-};
-use restune::engine::cached_base_suite;
-use restune::experiment::{base_suite_supervised, table4, table4_supervised};
-use restune::{SensorConfig, SimConfig};
+use std::process::ExitCode;
 
-fn main() {
+use bench::{
+    format_table, outcomes_report, print_failure_reports, print_json, push_outcomes,
+    run_metrics_report, HarnessArgs, Report,
+};
+use restune::experiment::table4;
+use restune::{base_suite, SensorConfig, SimConfig};
+
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -25,17 +26,9 @@ fn main() {
         SensorConfig::table4(20.0, 10.0, 5),
         SensorConfig::table4(20.0, 15.0, 3),
     ];
-    let (rows, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_base_suite(&sim);
-        let rows = table4(&sim, &configs, &base_suite.results);
-        (rows, base_suite.metrics.clone(), Vec::new())
-    } else {
-        let base = base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table4_supervised(&sim, &configs, &base, &policy);
-        reports.insert(0, base.report.clone());
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, metrics, reports)
-    };
+    let base = base_suite(&sim, &policy);
+    let (rows, mut reports) = table4(&sim, &configs, &base, &policy);
+    reports.insert(0, base.report.clone());
 
     if args.json {
         let mut table = Report::new(&[
@@ -71,17 +64,14 @@ fn main() {
             ]);
             push_outcomes(&mut outcomes, &label, &r.outcomes);
         }
-        let metrics = run_metrics_report(&metrics);
-        let mut sections = vec![
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![
             ("table4", table),
             ("outcomes", outcomes),
             ("run_metrics", metrics),
         ];
-        if !policy.is_inert() {
-            sections.push(("failures", failure_report_section(&reports)));
-        }
-        println!("{}", json_document(&sections));
-        return;
+        print_json(sections, &policy, &reports);
+        return bench::exit_code(&policy, &reports);
     }
 
     println!("=== Table 4: technique of [10] (voltage-threshold sensing) ===");
@@ -124,4 +114,5 @@ fn main() {
          (ideal sensors are cheap; realistic noise + delay make [10] expensive)"
     );
     print_failure_reports(&reports);
+    bench::exit_code(&policy, &reports)
 }

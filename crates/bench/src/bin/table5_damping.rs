@@ -2,15 +2,16 @@
 //! resonant current variation threshold (tightening δ is damping's only way
 //! to cover the whole resonance band).
 
-use bench::{
-    failure_report_section, format_table, json_document, outcomes_report, print_failure_reports,
-    push_outcomes, run_metrics_report, HarnessArgs, Report,
-};
-use restune::engine::cached_base_suite;
-use restune::experiment::{base_suite_supervised, table5, table5_supervised};
-use restune::SimConfig;
+use std::process::ExitCode;
 
-fn main() {
+use bench::{
+    format_table, outcomes_report, print_failure_reports, print_json, push_outcomes,
+    run_metrics_report, HarnessArgs, Report,
+};
+use restune::experiment::table5;
+use restune::{base_suite, SimConfig};
+
+fn main() -> ExitCode {
     let _shutdown = bench::harness_init();
     let args = HarnessArgs::parse();
     let _trace = bench::init_trace(&args);
@@ -19,17 +20,9 @@ fn main() {
     let sim = SimConfig::isca04(args.instructions);
 
     let deltas = [1.0, 0.5, 0.25];
-    let (rows, metrics, reports) = if policy.is_inert() {
-        let base_suite = cached_base_suite(&sim);
-        let rows = table5(&sim, &deltas, &base_suite.results);
-        (rows, base_suite.metrics.clone(), Vec::new())
-    } else {
-        let base = base_suite_supervised(&sim, &policy);
-        let (rows, mut reports) = table5_supervised(&sim, &deltas, &base, &policy);
-        reports.insert(0, base.report.clone());
-        let metrics: Vec<_> = base.metrics.iter().filter_map(|m| *m).collect();
-        (rows, metrics, reports)
-    };
+    let base = base_suite(&sim, &policy);
+    let (rows, mut reports) = table5(&sim, &deltas, &base, &policy);
+    reports.insert(0, base.report.clone());
 
     if args.json {
         let mut table = Report::new(&[
@@ -57,17 +50,14 @@ fn main() {
                 &r.outcomes,
             );
         }
-        let metrics = run_metrics_report(&metrics);
-        let mut sections = vec![
+        let metrics = run_metrics_report(base.metrics.iter().flatten());
+        let sections = vec![
             ("table5", table),
             ("outcomes", outcomes),
             ("run_metrics", metrics),
         ];
-        if !policy.is_inert() {
-            sections.push(("failures", failure_report_section(&reports)));
-        }
-        println!("{}", json_document(&sections));
-        return;
+        print_json(sections, &policy, &reports);
+        return bench::exit_code(&policy, &reports);
     }
 
     println!("=== Table 5: pipeline damping [14] ===");
@@ -104,4 +94,5 @@ fn main() {
          (worst: fma3d — high-ILP apps pay most under per-cycle current caps)"
     );
     print_failure_reports(&reports);
+    bench::exit_code(&policy, &reports)
 }

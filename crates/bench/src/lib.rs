@@ -167,9 +167,9 @@ impl HarnessArgs {
 
     /// Builds the engine [`restune::RunPolicy`] these options describe: the
     /// seeded fault plan (or none), the watchdog timeout, and the run store
-    /// (`--resume`).
-    /// With none of the supervision flags given, the policy is inert and
-    /// every harness output is bit-identical to the unsupervised engine.
+    /// (`--resume`). With none of the supervision flags given the policy is
+    /// inert: the harness's report sections are the same as under
+    /// `--resume`, and it prints no `failures` section.
     pub fn policy(&self) -> restune::RunPolicy {
         let mut plan = self
             .faults
@@ -251,6 +251,36 @@ pub fn harness_init() -> ShutdownGuard {
     restune::maybe_run_worker();
     restune::install_signal_handlers();
     ShutdownGuard { _priv: () }
+}
+
+/// The exit rule of every suite harness, applied once its report is
+/// printed: `main` returns this code.
+///
+/// * A requested shutdown exits 130. The [`ShutdownGuard`] bound in `main`
+///   exits with it as it drops, so the other guards drop first and the
+///   partial report is already out.
+/// * A failed application exits 1, unless a fault plan is enabled: then
+///   injected failures are the experiment, not an error.
+/// * Anything else exits 0.
+pub fn exit_code(
+    policy: &restune::RunPolicy,
+    reports: &[restune::FailureReport],
+) -> std::process::ExitCode {
+    std::process::ExitCode::from(exit_status(
+        restune::shutdown_requested(),
+        policy.plan.is_enabled(),
+        reports,
+    ))
+}
+
+fn exit_status(interrupted: bool, plan_enabled: bool, reports: &[restune::FailureReport]) -> u8 {
+    if interrupted {
+        130
+    } else if !plan_enabled && reports.iter().any(|r| !r.failures.is_empty()) {
+        1
+    } else {
+        0
+    }
 }
 
 /// See [`harness_init`].
@@ -361,9 +391,24 @@ pub fn json_document(sections: &[(&str, report::Report)]) -> String {
     out
 }
 
+/// Prints a suite harness's `--json` document: `sections`, then a
+/// `failures` section of `reports` unless the policy is inert.
+pub fn print_json(
+    mut sections: Vec<(&str, report::Report)>,
+    policy: &restune::RunPolicy,
+    reports: &[restune::FailureReport],
+) {
+    if !policy.is_inert() {
+        sections.push(("failures", failure_report_section(reports)));
+    }
+    println!("{}", json_document(&sections));
+}
+
 /// The standard machine-readable rows for per-run engine metrics, shared by
 /// every harness's `--json` output.
-pub fn run_metrics_report(metrics: &[restune::RunMetrics]) -> report::Report {
+pub fn run_metrics_report<'a>(
+    metrics: impl IntoIterator<Item = &'a restune::RunMetrics>,
+) -> report::Report {
     let mut r = report::Report::new(&[
         "app",
         "technique",
@@ -806,6 +851,39 @@ mod tests {
     #[test]
     fn default_policy_is_inert() {
         assert!(HarnessArgs::default().policy().is_inert());
+    }
+
+    #[test]
+    fn exit_rule_is_interrupted_then_unplanned_failure_then_success() {
+        let clean = restune::FailureReport::new("base");
+        let mut failed = restune::FailureReport::new("tuning-100");
+        failed.failures.push(restune::AppFailure {
+            app: "mcf".into(),
+            kind: restune::FailureKind::Timeout,
+            message: "watchdog deadline exceeded at cycle 0".into(),
+            attempts: 3,
+        });
+        let clean_run = [clean.clone(), clean.clone()];
+        let failed_run = [clean, failed];
+        assert_eq!(exit_status(false, false, &clean_run), 0);
+        assert_eq!(exit_status(false, true, &clean_run), 0);
+        assert_eq!(
+            exit_status(false, false, &failed_run),
+            1,
+            "unplanned failure"
+        );
+        assert_eq!(exit_status(false, true, &failed_run), 0, "injected failure");
+        assert_eq!(exit_status(false, false, &[]), 0);
+        for plan_enabled in [false, true] {
+            for reports in [&clean_run, &failed_run] {
+                assert_eq!(exit_status(true, plan_enabled, reports), 130);
+            }
+        }
+        // Outside a signal, the public rule applies the same table.
+        assert_eq!(
+            exit_code(&restune::RunPolicy::none(), &failed_run),
+            std::process::ExitCode::from(1)
+        );
     }
 
     #[test]

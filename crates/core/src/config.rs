@@ -241,8 +241,10 @@ impl RunPolicy {
     }
 
     /// `true` when this policy changes nothing about how a suite executes:
-    /// no fault plan, no watchdog, no store. The engine uses this to take
-    /// the exact code path of the unsupervised engine.
+    /// no fault plan, no watchdog, no store. This is the one inertness
+    /// check: an inert base suite is served from the engine's process-wide
+    /// memo ([`crate::engine::base_suite`]), and the harnesses print no
+    /// `failures` section for it.
     pub fn is_inert(&self) -> bool {
         !self.plan.is_enabled()
             && self.supervisor.timeout.is_none()

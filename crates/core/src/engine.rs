@@ -12,10 +12,11 @@
 //! * [`run_suite_supervised`] reads and writes a [`RunStore`] when its
 //!   [`SupervisorConfig`] carries one: stored runs replay, fresh runs are
 //!   put as they succeed, so a checkpoint is just the store;
-//! * [`cached_base_suite`] memoizes base runs per machine configuration, so
-//!   any number of drivers in one process trigger at most one base
-//!   simulation, in front of the default run store, so later processes
-//!   skip the cold run too;
+//! * [`base_suite`] and [`corpus_base_suite`] are the one base-suite entry
+//!   per workload class: under an inert [`RunPolicy`] they memoize base
+//!   runs per machine configuration, so any number of drivers in one
+//!   process trigger at most one base simulation, in front of the default
+//!   run store, so later processes skip the cold run too;
 //! * every run carries a [`RunMetrics`] row (wall time, simulated
 //!   cycles/second, per-phase timings, detector events, cache counters)
 //!   that the harnesses emit under `--json`.
@@ -25,12 +26,12 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use workloads::{corpus, spec2k, WorkloadProfile};
 
-use crate::config::SupervisorConfig;
+use crate::config::{RunPolicy, SupervisorConfig};
 use crate::fault::{
     AppFailure, FailureKind, FailureReport, FaultPlan, FaultSignal, FaultSpec, InjectionEvent,
     RecoveryEvent, StorageFault, StorageIncident,
@@ -161,15 +162,6 @@ pub struct SupervisedSuite {
 }
 
 impl SupervisedSuite {
-    fn from_suite_run(run: &SuiteRun, scope: &str) -> Self {
-        Self {
-            outcomes: run.results.iter().copied().map(Ok).collect(),
-            metrics: run.metrics.iter().copied().map(Some).collect(),
-            report: FailureReport::new(scope),
-            wall_seconds: run.wall_seconds,
-        }
-    }
-
     /// How many applications completed successfully.
     pub fn completed(&self) -> usize {
         self.outcomes.iter().filter(|o| o.is_ok()).count()
@@ -551,49 +543,54 @@ fn corrupt_file(path: &Path, fault: StorageFault) -> io::Result<()> {
     std::fs::write(path, bytes)
 }
 
-/// The supervised counterpart of [`cached_base_suite`]: the base-machine
-/// suite with storage-fault injection, damaged-record recovery, and
-/// graceful degradation.
+/// The base-machine suite of the synthetic SPEC2K profiles for `sim`,
+/// under `policy`: the starting point of every table and figure driver.
 ///
-/// With an inert policy this is *exactly* the unsupervised cached path
-/// (same memo, same counters, bit-identical results). Otherwise it bypasses
-/// the in-process memo — a partial or perturbed base suite must never
-/// poison it — and runs against the policy's run store, or the default one
-/// when the policy has none. A planned storage fault first damages each of
-/// the suite's records that exist there (one [`StorageIncident`] apiece);
-/// the damaged records miss and re-simulating recovers them. A suite that
-/// simulated evicts the store to its bounds afterwards.
-pub fn cached_base_suite_supervised(
-    sim: &SimConfig,
-    sup: &SupervisorConfig,
-    plan: &FaultPlan,
-) -> SupervisedSuite {
-    cached_suite_supervised_for(sim, &spec2k::all(), sup, plan)
+/// An inert policy ([`RunPolicy::is_inert`]) is served from a process-wide
+/// memo, so any number of drivers in one process simulate the base suite
+/// at most once; concurrent callers with the same config serialize on it.
+/// Only a complete suite is memoized. Any other policy bypasses the memo,
+/// since a partial or perturbed base suite must never poison it.
+///
+/// Either way the suite reads and writes a run store: the policy's, or the
+/// default one ([`RunStore::open_default`]) when it has none, so later
+/// processes skip the cold run too. A planned storage fault first damages
+/// each of the suite's records that exist there (one [`StorageIncident`]
+/// apiece); the damaged records miss and re-simulating recovers them. A
+/// failing application degrades its slot rather than the whole suite, and
+/// a suite that simulated evicts the store to its bounds afterwards.
+pub fn base_suite(sim: &SimConfig, policy: &RunPolicy) -> SupervisedSuite {
+    base_suite_for(sim, &spec2k::all(), policy)
 }
 
-/// [`cached_base_suite_supervised`] for the RISC-V corpus suite: the same
-/// storage-fault, recovery, and recording behavior against the corpus
-/// suite's records.
-pub fn cached_corpus_base_suite_supervised(
-    sim: &SimConfig,
-    sup: &SupervisorConfig,
-    plan: &FaultPlan,
-) -> SupervisedSuite {
-    cached_suite_supervised_for(sim, &corpus::all(), sup, plan)
+/// [`base_suite`] for the RISC-V corpus suite: the same memo, counters,
+/// storage-fault recovery, and run store.
+pub fn corpus_base_suite(sim: &SimConfig, policy: &RunPolicy) -> SupervisedSuite {
+    base_suite_for(sim, &corpus::all(), policy)
 }
 
-fn cached_suite_supervised_for(
+fn base_suite_for(
     sim: &SimConfig,
     profiles: &[WorkloadProfile],
-    sup: &SupervisorConfig,
-    plan: &FaultPlan,
+    policy: &RunPolicy,
 ) -> SupervisedSuite {
-    let policy_is_inert = !plan.is_enabled() && sup.timeout.is_none() && sup.store.is_none();
-    if policy_is_inert {
-        return SupervisedSuite::from_suite_run(&cached_suite_for(sim, profiles), "base");
+    let mut memo = None;
+    if policy.is_inert() {
+        let key = memo_key(sim, profiles);
+        let state = cache().lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(suite) = state.memo.get(&key) {
+            BASE_HITS.fetch_add(1, Ordering::Relaxed);
+            return suite.clone();
+        }
+        memo = Some((state, key));
     }
 
-    let store = sup.store.clone().unwrap_or_else(RunStore::open_default);
+    let plan = &policy.plan;
+    let store = policy
+        .supervisor
+        .store
+        .clone()
+        .unwrap_or_else(RunStore::open_default);
     let mut incidents = Vec::new();
     if let Some(fault) = plan.storage_fault() {
         for (idx, profile) in profiles.iter().enumerate() {
@@ -611,10 +608,11 @@ fn cached_suite_supervised_for(
 
     let sup = SupervisorConfig {
         store: Some(store.clone()),
-        ..sup.clone()
+        ..policy.supervisor.clone()
     };
     let mut suite = run_suite_supervised(profiles, &Technique::Base, sim, &sup, plan);
-    if suite.metrics.iter().flatten().any(|m| !m.replayed) {
+    let simulated = !suite.metrics.iter().all(|m| m.is_some_and(|m| m.replayed));
+    if simulated {
         store.evict();
     }
     suite.report.scope = String::from("base");
@@ -625,10 +623,21 @@ fn cached_suite_supervised_for(
         }
         suite.report.storage.push(incident);
     }
+    if let Some((mut state, key)) = memo {
+        if simulated {
+            BASE_MISSES.fetch_add(1, Ordering::Relaxed);
+            *state.simulations.entry(key.clone()).or_insert(0) += 1;
+        } else {
+            BASE_HITS.fetch_add(1, Ordering::Relaxed);
+        }
+        if suite.report.failures.is_empty() {
+            state.memo.insert(key, suite.clone());
+        }
+    }
     suite
 }
 
-/// Hit/miss counters of the process-wide base-suite cache.
+/// Hit/miss counters of the process-wide base-suite memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Requests served from memory or entirely from the run store.
@@ -641,7 +650,7 @@ static BASE_HITS: AtomicU64 = AtomicU64::new(0);
 static BASE_MISSES: AtomicU64 = AtomicU64::new(0);
 
 struct CacheState {
-    memo: HashMap<String, Arc<SuiteRun>>,
+    memo: HashMap<String, SupervisedSuite>,
     /// Base-suite simulations actually executed, per memo key.
     simulations: HashMap<String, u64>,
 }
@@ -663,7 +672,8 @@ fn memo_key(sim: &SimConfig, profiles: &[WorkloadProfile]) -> String {
     format!("{sim:?}|{profiles:?}")
 }
 
-/// Process-wide counters of [`cached_base_suite`] activity.
+/// Process-wide counters of the base-suite memo's activity (inert
+/// policies only).
 pub fn base_cache_stats() -> CacheStats {
     CacheStats {
         hits: BASE_HITS.load(Ordering::Relaxed),
@@ -672,7 +682,8 @@ pub fn base_cache_stats() -> CacheStats {
 }
 
 /// How many times this process actually *simulated* the base suite for
-/// `sim` (as opposed to serving all of it from the memo or the run store).
+/// `sim` under an inert policy (as opposed to serving all of it from the
+/// memo or the run store).
 pub fn base_suite_simulations(sim: &SimConfig) -> u64 {
     simulations_for(&memo_key(sim, &spec2k::all()))
 }
@@ -685,56 +696,6 @@ pub fn corpus_base_suite_simulations(sim: &SimConfig) -> u64 {
 fn simulations_for(key: &str) -> u64 {
     let state = cache().lock().unwrap_or_else(PoisonError::into_inner);
     state.simulations.get(key).copied().unwrap_or(0)
-}
-
-/// The base-machine suite for `sim`, simulated at most once per process.
-///
-/// Lookup order: the in-process memo, then the default run store
-/// ([`RunStore::open_default`]) one application at a time, then a real
-/// simulation of the applications it lacks, each put into the store as it
-/// completes (and the store evicted to its bounds afterwards). Concurrent
-/// callers with the same config serialize on the memo, so the suite still
-/// runs at most once.
-///
-/// # Panics
-///
-/// Panics with the failing application's name if a base simulation
-/// panics.
-pub fn cached_base_suite(sim: &SimConfig) -> Arc<SuiteRun> {
-    cached_suite_for(sim, &spec2k::all())
-}
-
-/// [`cached_base_suite`] for the RISC-V corpus suite: the same memo,
-/// counters, and run store.
-pub fn cached_corpus_base_suite(sim: &SimConfig) -> Arc<SuiteRun> {
-    cached_suite_for(sim, &corpus::all())
-}
-
-fn cached_suite_for(sim: &SimConfig, profiles: &[WorkloadProfile]) -> Arc<SuiteRun> {
-    let key = memo_key(sim, profiles);
-    let mut state = cache().lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(run) = state.memo.get(&key) {
-        BASE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(run);
-    }
-
-    let store = RunStore::open_default();
-    let sup = SupervisorConfig {
-        max_retries: 0,
-        store: Some(store.clone()),
-        ..SupervisorConfig::default()
-    };
-    let suite = run_suite_supervised(profiles, &Technique::Base, sim, &sup, &FaultPlan::none());
-    let run = Arc::new(suite_run(suite).unwrap_or_else(|e| panic!("{e}")));
-    if run.metrics.iter().all(|m| m.replayed) {
-        BASE_HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        BASE_MISSES.fetch_add(1, Ordering::Relaxed);
-        *state.simulations.entry(key.clone()).or_insert(0) += 1;
-        store.evict();
-    }
-    state.memo.insert(key, Arc::clone(&run));
-    run
 }
 
 #[cfg(test)]
@@ -841,11 +802,15 @@ mod tests {
         // A supervised base suite records one file per application; the
         // next one replays them all, bit-identical to fresh simulation.
         let sim = SimConfig::isca04(4_000);
-        let (dir, sup) = scratch_store("baseline");
-        let recorded = cached_corpus_base_suite_supervised(&sim, &sup, &FaultPlan::none());
+        let (dir, supervisor) = scratch_store("baseline");
+        let policy = RunPolicy {
+            supervisor,
+            ..RunPolicy::none()
+        };
+        let recorded = corpus_base_suite(&sim, &policy);
         let apps = corpus::all().len();
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), apps);
-        let replay = cached_corpus_base_suite_supervised(&sim, &sup, &FaultPlan::none());
+        let replay = corpus_base_suite(&sim, &policy);
         assert_eq!(replayed(&replay), vec![true; apps]);
         let serial: Vec<_> = corpus::all()
             .iter()
@@ -910,16 +875,19 @@ mod tests {
         let cache = dir.to_str().unwrap();
         crate::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
             assert_eq!(base_suite_simulations(&sim), 0);
-            let first = cached_base_suite(&sim);
+            let first = base_suite(&sim, &RunPolicy::none());
             assert_eq!(base_suite_simulations(&sim), 1);
-            let second = cached_base_suite(&sim);
+            let hits = base_cache_stats().hits;
+            let second = base_suite(&sim, &RunPolicy::none());
             assert_eq!(
                 base_suite_simulations(&sim),
                 1,
                 "second request must hit the memo"
             );
-            assert!(Arc::ptr_eq(&first, &second));
-            assert_eq!(first.results.len(), spec2k::all().len());
+            assert!(base_cache_stats().hits > hits);
+            assert_eq!(second.all_results(), first.all_results());
+            assert_eq!(replayed(&second), vec![false; spec2k::all().len()]);
+            let first = first.all_results().expect("the base suite completes");
 
             // A fresh process has an empty memo but the same store: a
             // store-backed suite serves every application from it.
@@ -935,8 +903,39 @@ mod tests {
                 &FaultPlan::none(),
             );
             assert_eq!(replayed(&fresh), vec![true; spec2k::all().len()]);
-            assert_eq!(fresh.all_results().unwrap(), first.results);
+            assert_eq!(fresh.all_results().unwrap(), first);
         });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_base_suite_is_reported_and_not_memoized() {
+        // An invalid profile fails its slot; the inert base suite must
+        // report it rather than panic, and must not memoize a partial suite.
+        let good = spec2k::by_name("gzip").unwrap();
+        let mut bad = spec2k::by_name("mcf").unwrap();
+        bad.name = "broken-base-app";
+        bad.mean_dep = 0.0;
+        let profiles = [good, bad];
+        let sim = quick_sim();
+        let dir =
+            std::env::temp_dir().join(format!("restune-engine-partial-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = dir.to_str().unwrap();
+        crate::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
+            for _ in 0..2 {
+                let suite = base_suite_for(&sim, &profiles, &RunPolicy::none());
+                assert_eq!(suite.completed(), 1);
+                assert_eq!(suite.report.scope, "base");
+                assert_eq!(suite.report.failures.len(), 1);
+                assert_eq!(suite.report.failures[0].app, "broken-base-app");
+            }
+        });
+        assert_eq!(
+            simulations_for(&memo_key(&sim, &profiles)),
+            2,
+            "a partial base suite must simulate again, not replay the memo"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,10 +27,12 @@
 //! * [`kernel`] — the fused batched hot-path engine behind `sim` (flat
 //!   current buffers, batched supply flushes, shared workload decode),
 //!   bit-exact with the per-cycle reference loop;
-//! * [`experiment`] — suite drivers that regenerate the paper's Tables 2–5
-//!   and Figures 3–5;
+//! * [`experiment`] — one driver per table (Tables 2–5 and the RISC-V
+//!   Table 3), each running its design points under a [`RunPolicy`] and
+//!   returning rows plus scope-labelled failure reports;
 //! * [`engine`] — the suite execution engine: bounded worker-pool
-//!   scheduling, memoized base runs, structured run metrics;
+//!   scheduling, one base-suite entry per workload class (memoized under an
+//!   inert policy), structured run metrics;
 //! * [`store`] — the run store, the one persistence for results: one
 //!   identity-verified, crash-consistent record per run, read and written
 //!   by the engine;
@@ -85,9 +87,8 @@ pub use client::{clear_connect, connect_active, set_connect, set_net_faults};
 pub use config::{RunPolicy, SupervisorConfig, TuningConfig};
 pub use detector::{EventDetector, Polarity, ResonantEvent, WaveletConfig, WaveletDetector};
 pub use engine::{
-    cached_base_suite, cached_base_suite_supervised, cached_corpus_base_suite,
-    cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite, CacheStats,
-    SuiteError, SuiteRun, SupervisedSuite,
+    base_suite, corpus_base_suite, run_suite_supervised, try_run_suite, CacheStats, SuiteError,
+    SuiteRun, SupervisedSuite,
 };
 pub use fault::{
     parse_net_faults, AppFailure, ChaosSchedule, ChaosStep, FailureKind, FailureReport, FaultPlan,

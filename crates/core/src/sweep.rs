@@ -108,12 +108,12 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Returns a one-line description of the first malformed pair — an
-    /// unknown key, an unparseable value, a PDN scale that produces an
-    /// invalid (non-underdamped) supply network, a sensor point with
-    /// negative noise or a non-positive actual threshold, or an instruction
-    /// count whose cycle cap (12 cycles per instruction plus 100k)
-    /// overflows a `u64`.
+    /// Returns a one-line description of the first malformed pair, naming
+    /// its axis — an unknown key, an empty or unparseable value, a PDN
+    /// scale that produces an invalid (non-underdamped) supply network, a
+    /// sensor point with negative noise or a non-positive actual threshold,
+    /// or an instruction count whose cycle cap (12 cycles per instruction
+    /// plus 100k) overflows a `u64`.
     pub fn parse(
         pairs: &[(String, String)],
         default_instructions: u64,
@@ -132,10 +132,10 @@ impl GridSpec {
             }
             match key.as_str() {
                 "workloads" => {
-                    spec.workloads = split_list(value, WorkloadClass::parse)?;
+                    spec.workloads = split_list(key, value, WorkloadClass::parse)?;
                 }
                 "pdn" => {
-                    spec.pdn_scales = split_list(value, |v| {
+                    spec.pdn_scales = split_list(key, value, |v| {
                         let scale = parse_positive_f64(v, "PDN scale")?;
                         // Validate eagerly: a scale that breaks the
                         // underdamped invariant should fail at parse time,
@@ -145,7 +145,7 @@ impl GridSpec {
                     })?;
                 }
                 "tuning" => {
-                    spec.tuning = split_list(value, |v| {
+                    spec.tuning = split_list(key, value, |v| {
                         v.parse::<u32>()
                             .ok()
                             .filter(|&t| t > 0)
@@ -153,17 +153,17 @@ impl GridSpec {
                     })?;
                 }
                 "sensor" => {
-                    spec.sensor = split_list(value, parse_sensor_point)?;
+                    spec.sensor = split_list(key, value, parse_sensor_point)?;
                 }
                 "damping" => {
-                    spec.damping = split_list(value, |v| parse_positive_f64(v, "damping delta"))?;
+                    spec.damping =
+                        split_list(key, value, |v| parse_positive_f64(v, "damping delta"))?;
                 }
                 "instructions" => {
-                    spec.instructions = value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| format!("invalid instruction count '{value}'"))?;
+                    let count = value.parse::<u64>().ok().filter(|&n| n > 0);
+                    spec.instructions = count.ok_or_else(|| {
+                        format!("grid axis '{key}': invalid instruction count '{value}'")
+                    })?;
                     if SimConfig::cycle_cap(spec.instructions).is_none() {
                         return Err(format!(
                             "grid axis 'instructions': {value} instructions overflow the \
@@ -208,15 +208,21 @@ impl GridSpec {
     }
 }
 
-fn split_list<T>(value: &str, parse: impl Fn(&str) -> Result<T, String>) -> Result<Vec<T>, String> {
+/// Parses one axis's comma-separated values; every error names the axis.
+fn split_list<T>(
+    key: &str,
+    value: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
     let items: Vec<T> = value
         .split(',')
         .map(str::trim)
         .filter(|v| !v.is_empty())
         .map(parse)
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("grid axis '{key}': {e}"))?;
     if items.is_empty() {
-        return Err(String::from("a grid axis needs at least one value"));
+        return Err(format!("grid axis '{key}' needs at least one value"));
     }
     Ok(items)
 }
@@ -491,6 +497,7 @@ fn suite_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pairs(raw: &[(&str, &str)]) -> Vec<(String, String)> {
         raw.iter()
@@ -596,5 +603,110 @@ mod tests {
         assert!(dominates(&b, &c));
         assert!(!dominates(&c, &b));
         assert!(!dominates(&b, &b), "a point never dominates itself");
+    }
+
+    /// Keys the fuzz draws from: every axis, near misses, and the empty key.
+    const FUZZ_KEYS: [&str; 9] = [
+        "workloads",
+        "pdn",
+        "tuning",
+        "sensor",
+        "damping",
+        "instructions",
+        "pdns",
+        "Tuning",
+        "",
+    ];
+
+    /// Values the fuzz draws from: ones some axis accepts, and edge cases.
+    const FUZZ_VALUES: [&str; 24] = [
+        "spec2k",
+        "corpus",
+        "1.0",
+        "1.5",
+        "0.0001",
+        "1e308",
+        "-1",
+        "0",
+        "75",
+        "100",
+        "4294967296",
+        "10:2.5:5",
+        "20:50:0",
+        "20:-1:0",
+        "1:2:3:4",
+        "NaN",
+        "inf",
+        "18446744073709551615",
+        "1537228672809121",
+        "9000",
+        " ",
+        ",",
+        ":",
+        "",
+    ];
+
+    /// A listed string when `pick` indexes one, else `noise` decoded lossily.
+    fn fuzz_token(list: &[&str], pick: usize, noise: &[u8]) -> String {
+        match list.get(pick) {
+            Some(s) => (*s).to_string(),
+            None => String::from_utf8_lossy(noise).into_owned(),
+        }
+    }
+
+    #[test]
+    fn an_empty_axis_names_itself() {
+        for (key, value) in [("tuning", ","), ("damping", " , "), ("pdn", ",,")] {
+            let err = GridSpec::parse(&pairs(&[(key, value)]), 1_000).expect_err("empty list");
+            assert!(err.contains(&format!("'{key}'")), "{key}={value}: {err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Fuzz the grid-spec parser with pairs drawn from the axis names
+        /// and values, lists of them, and random bytes: it must never
+        /// panic, and an error must come from the first pair a prefix of
+        /// the spec rejects and name that pair's key.
+        #[test]
+        fn a_fuzzed_grid_spec_parses_or_names_the_failing_axis(
+            raw in prop::collection::vec(
+                (
+                    0usize..12,
+                    prop::collection::vec((0usize..30, 0usize..4), 1..4),
+                    prop::collection::vec(0u8..=255u8, 0..8),
+                ),
+                1..4,
+            ),
+        ) {
+            let spec: Vec<(String, String)> = raw
+                .iter()
+                .map(|(key, items, noise)| {
+                    let mut value = String::new();
+                    for (i, &(pick, sep)) in items.iter().enumerate() {
+                        if i > 0 {
+                            value.push_str([",", ", ", ":", ""][sep]);
+                        }
+                        value.push_str(&fuzz_token(&FUZZ_VALUES, pick, noise));
+                    }
+                    (fuzz_token(&FUZZ_KEYS, *key, noise), value)
+                })
+                .collect();
+            if let Err(err) = GridSpec::parse(&spec, 1_000) {
+                let failing = (1..=spec.len())
+                    .find(|&n| GridSpec::parse(&spec[..n], 1_000).is_err())
+                    .expect("some prefix fails");
+                let (key, value) = &spec[failing - 1];
+                prop_assert_eq!(
+                    GridSpec::parse(&spec[..failing], 1_000).unwrap_err(),
+                    err.clone()
+                );
+                prop_assert!(
+                    err.contains(key.as_str()),
+                    "{key:?}={value:?}: the error does not name its axis: {err}"
+                );
+            }
+        }
     }
 }

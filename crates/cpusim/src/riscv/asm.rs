@@ -144,9 +144,6 @@ pub fn assemble(src: &str) -> Result<Program, ParseError> {
             return err(line, format!("text section exceeds {TEXT_LIMIT} bytes"));
         }
     }
-    if data.len() as u32 > DATA_LIMIT {
-        return err(0, format!("data section exceeds {DATA_LIMIT} bytes"));
-    }
 
     // Pass 2: encode with all label addresses known.
     let mut words = Vec::with_capacity(word_off as usize);
@@ -276,6 +273,9 @@ fn apply_directive(
         }
         _ => return err(line, format!("unknown directive `.{name}`")),
     }
+    if data.len() > DATA_LIMIT as usize {
+        return err(line, format!("data section exceeds {DATA_LIMIT} bytes"));
+    }
     Ok(())
 }
 
@@ -346,7 +346,11 @@ fn parse_imm(s: &str) -> Option<i64> {
     } else {
         body.parse::<i64>().ok()?
     };
-    Some(if neg { -v } else { v })
+    if neg {
+        v.checked_neg()
+    } else {
+        Some(v)
+    }
 }
 
 fn reg_num(name: &str) -> Option<u8> {
@@ -362,13 +366,16 @@ fn reg_num(name: &str) -> Option<u8> {
         "s0" | "fp" => 8,
         "s1" => 9,
         _ => {
-            let (prefix, num) = name.split_at(name.len().min(1));
-            let idx: u8 = num.parse().ok()?;
+            // Split after the first character, not the first byte: an
+            // operand may start with any character.
+            let mut chars = name.chars();
+            let prefix = chars.next()?;
+            let idx: u8 = chars.as_str().parse().ok()?;
             return match prefix {
-                "x" if idx < 32 => Some(idx),
-                "a" if idx < 8 => Some(10 + idx),
-                "s" if (2..=11).contains(&idx) => Some(16 + idx),
-                "t" if (3..=6).contains(&idx) => Some(25 + idx),
+                'x' if idx < 32 => Some(idx),
+                'a' if idx < 8 => Some(10 + idx),
+                's' if (2..=11).contains(&idx) => Some(16 + idx),
+                't' if (3..=6).contains(&idx) => Some(25 + idx),
                 _ => None,
             };
         }

@@ -3,12 +3,11 @@
 //! `SimResult` rows.
 
 use restune::engine::{
-    cached_base_suite, cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite,
-    SupervisedSuite,
+    base_suite, corpus_base_suite, run_suite_supervised, try_run_suite, SupervisedSuite,
 };
-use restune::experiment::run_suite;
 use restune::{
-    run, FaultPlan, FaultSpec, RunStore, SimConfig, SupervisorConfig, Technique, TuningConfig,
+    run, FaultPlan, FaultSpec, RunPolicy, RunStore, SimConfig, SimResult, SupervisorConfig,
+    Technique, TuningConfig,
 };
 use workloads::{corpus, spec2k};
 
@@ -35,6 +34,17 @@ fn scratch_store(label: &str) -> (std::path::PathBuf, SupervisorConfig) {
     (dir, sup)
 }
 
+/// The pooled suite's results, panicking with the failing application.
+fn run_suite(
+    profiles: &[workloads::WorkloadProfile],
+    technique: &Technique,
+    sim: &SimConfig,
+) -> Vec<SimResult> {
+    try_run_suite(profiles, technique, sim)
+        .expect("suite runs")
+        .results
+}
+
 fn replayed(suite: &SupervisedSuite) -> Vec<bool> {
     suite
         .metrics
@@ -50,8 +60,18 @@ fn scheduler_serial_and_replay_agree_bit_for_bit() {
 
     // 1. The bounded worker pool.
     let pooled = try_run_suite(&profiles, &Technique::Base, &sim).expect("suite runs");
-    // 2. The public suite API (same pool, panicking wrapper).
-    let suite = run_suite(&profiles, &Technique::Base, &sim);
+    // 2. The inert policy every driver runs under (same pool, with the
+    //    default supervisor's retries).
+    let policy = RunPolicy::none();
+    let suite = run_suite_supervised(
+        &profiles,
+        &Technique::Base,
+        &sim,
+        &policy.supervisor,
+        &policy.plan,
+    )
+    .all_results()
+    .expect("every app completes");
     // 3. A plain serial loop.
     let serial: Vec<_> = profiles
         .iter()
@@ -71,7 +91,7 @@ fn scheduler_serial_and_replay_agree_bit_for_bit() {
         pooled.results, serial,
         "worker pool must match the serial loop"
     );
-    assert_eq!(suite, serial, "run_suite must match the serial loop");
+    assert_eq!(suite, serial, "the inert policy must match the serial loop");
     assert_eq!(replayed, serial, "store replay must be bit-identical");
 }
 
@@ -114,10 +134,13 @@ fn corpus_pool_serial_and_baseline_replay_agree_bit_for_bit() {
         .map(|p| run(p, &Technique::Base, &sim))
         .collect();
 
-    let (dir, sup) = scratch_store("corpus-baseline");
-    let plan = FaultPlan::none();
-    let recorded = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
-    let replay = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
+    let (dir, supervisor) = scratch_store("corpus-baseline");
+    let policy = RunPolicy {
+        supervisor,
+        ..RunPolicy::none()
+    };
+    let recorded = corpus_base_suite(&sim, &policy);
+    let replay = corpus_base_suite(&sim, &policy);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_eq!(
@@ -187,10 +210,12 @@ fn table_drivers_share_one_base_simulation() {
     let cache = dir.to_str().expect("utf-8 temp dir");
     restune::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
         assert_eq!(restune::engine::base_suite_simulations(&sim), 0);
+        let policy = RunPolicy::none();
         for _ in 0..2 {
-            let base = cached_base_suite(&sim);
-            let rows = restune::experiment::table3(&sim, &[100], &base.results);
+            let base = base_suite(&sim, &policy);
+            let (rows, reports) = restune::experiment::table3(&sim, &[100], &base, &policy);
             assert_eq!(rows.len(), 1);
+            assert!(reports.iter().all(|r| r.is_empty()), "{reports:?}");
         }
     });
     assert_eq!(

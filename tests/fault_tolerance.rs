@@ -7,12 +7,10 @@ use std::path::PathBuf;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-use restune::engine::{
-    cached_corpus_base_suite_supervised, run_suite_supervised, try_run_suite, SupervisedSuite,
-};
+use restune::engine::{corpus_base_suite, run_suite_supervised, try_run_suite, SupervisedSuite};
 use restune::{
-    FailureKind, FaultPlan, FaultSpec, RunStore, SimConfig, StorageFault, SupervisorConfig,
-    Technique,
+    FailureKind, FaultPlan, FaultSpec, RunPolicy, RunStore, SimConfig, StorageFault,
+    SupervisorConfig, Technique,
 };
 use workloads::{corpus, spec2k};
 
@@ -286,13 +284,20 @@ fn corrupt_recorded_baselines_are_discarded_not_trusted() {
     // way the fault plane's storage faults damage them.
     let sim = SimConfig::isca04(6_000);
     let apps = corpus::all().len();
-    let (dir, sup) = stored_retries("corrupt");
-    let reference = cached_corpus_base_suite_supervised(&sim, &sup, &FaultPlan::none());
+    let (dir, supervisor) = stored_retries("corrupt");
+    let clean = RunPolicy {
+        supervisor,
+        ..RunPolicy::none()
+    };
+    let reference = corpus_base_suite(&sim, &clean);
     assert_eq!(records(&dir), apps);
 
     for fault in [StorageFault::Truncate, StorageFault::BitFlip] {
-        let plan = FaultPlan::none().with_storage_fault(fault);
-        let suite = cached_corpus_base_suite_supervised(&sim, &sup, &plan);
+        let policy = RunPolicy {
+            plan: FaultPlan::none().with_storage_fault(fault),
+            ..clean.clone()
+        };
+        let suite = corpus_base_suite(&sim, &policy);
         let storage = &suite.report.storage;
         assert_eq!(storage.len(), apps, "one incident per damaged record");
         assert!(

@@ -1,6 +1,8 @@
 //! Golden-trace regression tests: snapshot the numeric output of the
 //! table 2/3/4/5 and figure 5 experiment pipelines for a two-application
-//! subset and fail on *any* numeric drift.
+//! subset and fail on *any* numeric drift. The snapshot is rendered through
+//! the path every harness takes: [`run_suite_policed`] under the inert
+//! policy, paired by [`paired_outcomes`].
 //!
 //! Every float is recorded as its `f64::to_bits` hex, so the comparison is
 //! bit-exact — a change anywhere in the per-cycle chain (cpusim activity →
@@ -17,10 +19,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use restune::experiment::{compare_suites, run_suite};
+use restune::experiment::{paired_outcomes, run_suite_policed};
 use restune::{
-    DampingConfig, RelativeOutcome, SensorConfig, SimConfig, SimResult, Summary, Technique,
-    TuningConfig,
+    DampingConfig, RelativeOutcome, RunPolicy, SensorConfig, SimConfig, SimResult, Summary,
+    Technique, TuningConfig,
 };
 use workloads::{spec2k, WorkloadProfile};
 
@@ -117,8 +119,15 @@ fn render_snapshot() -> String {
     )
     .unwrap();
 
-    let base = run_suite(&profiles, &Technique::Base, &sim);
-    for (r, p) in base.iter().zip(&profiles) {
+    let policy = RunPolicy::none();
+    let suite = |technique: &Technique, scope: &str| {
+        let suite = run_suite_policed(&profiles, technique, &sim, &policy, scope);
+        assert!(suite.report.is_empty(), "{:?}", suite.report);
+        suite
+    };
+    let base = suite(&Technique::Base, "base");
+    let base_results = base.all_results().expect("every base run completes");
+    for (r, p) in base_results.iter().zip(&profiles) {
         push_result(&mut out, "table2/base", r);
         writeln!(
             out,
@@ -166,9 +175,11 @@ fn render_snapshot() -> String {
     ];
     let mut fig5 = String::new();
     for (section, technique) in &points {
-        let results = run_suite(&profiles, technique, &sim);
-        let outcomes = compare_suites(&base, &results);
-        for r in &results {
+        let label = section.rsplit('/').next().unwrap();
+        let run = suite(technique, label);
+        let outcomes = paired_outcomes(&base, &run);
+        assert_eq!(outcomes.len(), profiles.len(), "every pair survives");
+        for r in &run.all_results().expect("every technique run completes") {
             push_result(&mut out, section, r);
         }
         for o in &outcomes {
@@ -176,7 +187,6 @@ fn render_snapshot() -> String {
         }
         let summary = Summary::from_outcomes(&outcomes);
         push_summary(&mut out, section, &summary);
-        let label = section.rsplit('/').next().unwrap();
         writeln!(
             fig5,
             "fig5/{label}/avg_energy_delay = {}",

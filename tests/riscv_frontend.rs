@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cpusim::riscv::{assemble, Inst, Machine, Op, Program, DATA_BASE, TEXT_BASE};
+use proptest::prelude::*;
 use workloads::corpus;
 
 /// Builds `li rd, value` as lui+addi (or a bare addi), mirroring the
@@ -420,6 +421,15 @@ fn parse_errors_carry_line_numbers() {
         (".text\n.rept 3\nnop\n", 2, ".endr"),
         (".text\nlw x1, 0(x2\n", 2, "malformed memory operand"),
         (".data\nx: .word zed\n", 2, "bad .word"),
+        // Found by the fuzz below: an operand starting with a multi-byte
+        // character panicked the register lookup.
+        (".text\nadd x1, x2, \u{fffd} t6\n", 2, "bad operand"),
+        (".text\nli x1, -0x-8000000000000000\n", 2, "bad immediate"),
+        (
+            ".data\na: .space 16384\nb: .space 16384\n",
+            3,
+            "data section exceeds",
+        ),
     ];
     for &(src, line, fragment) in cases {
         let err = assemble(src).expect_err(src);
@@ -429,6 +439,69 @@ fn parse_errors_carry_line_numbers() {
             msg.contains(fragment),
             "error for {src:?} must mention {fragment:?}, got {msg:?}"
         );
+    }
+}
+
+/// `src` after one edit of its bytes, decoded lossily: `kind` 0 truncates
+/// at `at`, 1 inserts `byte` before `at`, 2 deletes the byte at `at`, 3
+/// substitutes `byte` for it, and 4 duplicates the line that holds it.
+fn mutate_source(src: &str, kind: u8, at: usize, byte: u8) -> String {
+    let mut bytes = src.as_bytes().to_vec();
+    if bytes.is_empty() {
+        return String::new();
+    }
+    let inside = at % bytes.len();
+    match kind {
+        0 => bytes.truncate(at % (bytes.len() + 1)),
+        1 => bytes.insert(at % (bytes.len() + 1), byte),
+        2 => {
+            bytes.remove(inside);
+        }
+        3 => bytes[inside] = byte,
+        _ => {
+            let start = bytes[..inside]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let end = bytes[inside..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |i| inside + i + 1);
+            let mut line = bytes[start..end].to_vec();
+            if !line.ends_with(b"\n") {
+                line.push(b'\n');
+            }
+            bytes.splice(start..start, line);
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Fuzz the assembler with the corpus programs after up to three edits
+    /// each (truncation, byte insert, delete or substitute, line
+    /// duplication): it must never panic, and every diagnostic must name a
+    /// line of the source it was given.
+    #[test]
+    fn an_edited_corpus_program_assembles_or_names_a_line_of_it(
+        app in 0usize..6,
+        edits in prop::collection::vec((0u8..5, 0usize..1 << 16, 0u8..=255u8), 1..4),
+    ) {
+        let name = corpus::all()[app].name;
+        let mut src = corpus::source(name).expect("corpus app has a source").to_string();
+        for &(kind, at, byte) in &edits {
+            src = mutate_source(&src, kind, at, byte);
+        }
+        if let Err(e) = assemble(&src) {
+            let lines = src.lines().count();
+            prop_assert!(
+                (1..=lines).contains(&e.line),
+                "{name} after {edits:?}: line {} of {lines} ({e})",
+                e.line
+            );
+        }
     }
 }
 

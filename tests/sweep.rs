@@ -140,7 +140,7 @@ fn a_base_suites_records_serve_the_sweeps_base_point() {
     let instructions = 8_123;
     let spec = grid(&[("workloads", "corpus"), ("tuning", "100")], instructions);
     let outcome = restune::testenv::with_env(&[("RESTUNE_CACHE_DIR", Some(cache))], || {
-        restune::engine::cached_corpus_base_suite(&SimConfig::isca04(instructions));
+        restune::corpus_base_suite(&SimConfig::isca04(instructions), &RunPolicy::none());
         run_sweep(&spec, &RunPolicy::default(), &RunStore::open_default())
     })
     .expect("sweep runs");
