@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (warnings are errors)"
+# Broken, private and ambiguous intra-doc links fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
 
@@ -199,9 +203,22 @@ wait "$victim" || status=$?
 RESTUNE_CACHE_DIR="$kill_dir" RESTUNE_ISOLATION=thread \
     ./target/release/suite_check -n "$kill_n" --resume --json \
     > "$chaos_out/kill_resumed.json"
+# The uninterrupted reference run also pins the trace store's memory:
+# 26 profiles at -n 400000 decode ~159 MiB of 16-byte prefixes, so the
+# whole process must peak below 224 MiB (32-byte prefixes peaked near
+# 326 MiB). ru_maxrss is in KiB on Linux.
 RESTUNE_CACHE_DIR="$(mktemp -d)" RESTUNE_ISOLATION=thread \
-    ./target/release/suite_check -n "$kill_n" --resume --json \
-    > "$chaos_out/kill_reference.json"
+    python3 - "$chaos_out/kill_reference.json" \
+    ./target/release/suite_check -n "$kill_n" --resume --json <<'EOF'
+import resource, subprocess, sys
+out, argv = sys.argv[1], sys.argv[2:]
+with open(out, "w") as f:
+    subprocess.run(argv, stdout=f, check=True)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mib < 224, \
+    f"suite_check -n {argv[2]} peaked at {peak_mib:.1f} MiB, not below 224 MiB"
+print(f"memory ok: suite_check -n {argv[2]} peaked at {peak_mib:.1f} MiB")
+EOF
 python3 - "$chaos_out" "$kill_dir" "$before_kill" <<'EOF'
 import json, os, re, sys
 out, cache, before_kill = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -288,6 +305,45 @@ grep -q '(interrupted: ' "$flags_dir/sigint.out" || {
     exit 1
 }
 echo "exit rule ok: an unplanned failure exits 1; SIGINT exits 130 with a partial report"
+
+echo "==> noise_lab exit convention (help on stdout, bad arguments exit 2)"
+# Like every harness's --help: help, --help and -h print the usage to
+# stdout and exit 0. An unknown command or a malformed argument prints it
+# to stderr and exits 2; a command that runs and fails exits 1.
+lab_dir=$(mktemp -d)
+# Runs noise_lab with the arguments after $1 and $2; fails unless it exits
+# $1 with the usage on the stream $2 names (stdout, stderr or none).
+lab_case() {
+    want=$1 usage_on=$2
+    shift 2
+    status=0
+    ./target/release/noise_lab "$@" > "$lab_dir/stdout" 2> "$lab_dir/stderr" \
+        || status=$?
+    [ "$status" -eq "$want" ] || {
+        echo "noise_lab $*: exited $status, not $want" >&2
+        exit 1
+    }
+    for stream in stdout stderr; do
+        if grep -q '^usage: noise_lab' "$lab_dir/$stream"; then
+            [ "$stream" = "$usage_on" ] || {
+                echo "noise_lab $*: usage printed on $stream" >&2
+                exit 1
+            }
+        elif [ "$stream" = "$usage_on" ]; then
+            echo "noise_lab $*: no usage on $stream" >&2
+            exit 1
+        fi
+    done
+}
+lab_case 0 stdout help
+lab_case 0 stdout --help
+lab_case 0 stdout -h
+lab_case 2 stderr frobnicate
+lab_case 2 stderr impedance --lo abc
+lab_case 2 stderr calibrate --max-variation -5
+lab_case 2 stderr analyze --max-variation -5
+lab_case 1 none calibrate --clock 0
+echo "noise_lab ok: help exits 0 on stdout, bad arguments 2, a failing command 1"
 
 echo "==> trace smoke (traced suite bit-identical, schema-valid, windows present)"
 # A traced run must be pure observation: the "suite_check" section (the

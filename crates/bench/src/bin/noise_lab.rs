@@ -45,45 +45,79 @@ The paper's tables: table2_classification, table3_tuning, table4_sensor,
 table5_damping (each with --help).
 ";
 
+/// Why a command line stopped short of success.
+#[derive(Debug)]
+enum Stop {
+    /// `help`, `--help` or `-h`: usage on stdout, exit 0.
+    Help,
+    /// An unknown command or a bad argument: usage on stderr, exit 2.
+    Usage(String),
+    /// A command that ran and failed: exit 1.
+    Failed(String),
+}
+
+impl From<String> for Stop {
+    fn from(message: String) -> Self {
+        Stop::Failed(message)
+    }
+}
+
 #[derive(Debug)]
 struct Args {
     command: String,
     options: HashMap<String, String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args() -> Result<Args, Stop> {
     let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or_else(|| USAGE.to_string())?;
+    let command = argv
+        .next()
+        .ok_or_else(|| Stop::Usage("missing command".into()))?;
     let mut options = HashMap::new();
     while let Some(key) = argv.next() {
         let key = key.trim_start_matches('-').to_string();
-        if key == "help" {
-            return Err(USAGE.to_string());
+        if key == "help" || key == "h" {
+            return Err(Stop::Help);
         }
         let value = argv
             .next()
-            .ok_or(format!("option --{key} requires a value"))?;
+            .ok_or_else(|| Stop::Usage(format!("option --{key} requires a value")))?;
         options.insert(key, value);
     }
     Ok(Args { command, options })
 }
 
 impl Args {
-    fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+    fn get_f64(&self, key: &str, default: f64) -> Result<f64, Stop> {
         match self.options.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid --{key}: {v}")),
+            Some(v) => v
+                .parse()
+                .map_err(|_| Stop::Usage(format!("invalid --{key}: {v}"))),
         }
     }
 
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+    fn get_u64(&self, key: &str, default: u64) -> Result<u64, Stop> {
         match self.options.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid --{key}: {v}")),
+            Some(v) => v
+                .parse()
+                .map_err(|_| Stop::Usage(format!("invalid --{key}: {v}"))),
         }
     }
 
-    fn supply(&self) -> Result<SupplyParams, String> {
+    /// `--max-variation` in amperes: a peak-to-peak amplitude, so never
+    /// negative.
+    fn max_variation(&self, default: f64) -> Result<Amps, Stop> {
+        match self.get_f64("max-variation", default)? {
+            amps if amps >= 0.0 => Ok(Amps::new(amps)),
+            amps => Err(Stop::Usage(format!(
+                "--max-variation must be non-negative: {amps}"
+            ))),
+        }
+    }
+
+    fn supply(&self) -> Result<SupplyParams, Stop> {
         match self
             .options
             .get("supply")
@@ -92,7 +126,9 @@ impl Args {
         {
             "table1" => Ok(SupplyParams::isca04_table1()),
             "section2" => Ok(SupplyParams::isca04_section2_example()),
-            other => Err(format!("unknown supply: {other} (table1|section2)")),
+            other => Err(Stop::Usage(format!(
+                "unknown supply: {other} (table1|section2)"
+            ))),
         }
     }
 
@@ -101,7 +137,7 @@ impl Args {
     }
 }
 
-fn emit(report: &Report, args: &Args) -> Result<(), String> {
+fn emit(report: &Report, args: &Args) -> Result<(), Stop> {
     if let Some(path) = args.out() {
         report
             .write_to(&path)
@@ -111,13 +147,13 @@ fn emit(report: &Report, args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_impedance(args: &Args) -> Result<(), String> {
+fn cmd_impedance(args: &Args) -> Result<(), Stop> {
     let supply = args.supply()?;
     let lo = args.get_f64("lo", 40.0)?;
     let hi = args.get_f64("hi", 160.0)?;
     let points = args.get_u64("points", 241)? as usize;
     if points < 2 || lo >= hi {
-        return Err("need --points >= 2 and --lo < --hi".into());
+        return Err(Stop::Usage("need --points >= 2 and --lo < --hi".into()));
     }
     let sweep = ImpedanceSweep::linear(&supply, Hertz::from_mega(lo), Hertz::from_mega(hi), points);
     let mut report = Report::new(&["frequency_mhz", "magnitude_mohm", "phase_rad"]);
@@ -141,10 +177,10 @@ fn cmd_impedance(args: &Args) -> Result<(), String> {
     emit(&report, args)
 }
 
-fn cmd_calibrate(args: &Args) -> Result<(), String> {
+fn cmd_calibrate(args: &Args) -> Result<(), Stop> {
     let supply = args.supply()?;
     let clock = Hertz::from_giga(args.get_f64("clock", 10.0)?);
-    let max_variation = Amps::new(args.get_f64("max-variation", 70.0)?);
+    let max_variation = args.max_variation(70.0)?;
     let cal = calibrate(&supply, clock, max_variation).map_err(|e| e.to_string())?;
     println!(
         "variation threshold   {:.1} A\nband-edge tolerance   {:.1} A\nmax repetition tol    {}\nresonant period       {}\nband periods          {}–{} cycles",
@@ -174,11 +210,11 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
     emit(&report, args)
 }
 
-fn cmd_analyze(args: &Args) -> Result<(), String> {
+fn cmd_analyze(args: &Args) -> Result<(), Stop> {
     let supply = args.supply()?;
     let clock = Hertz::from_giga(args.get_f64("clock", 10.0)?);
     let response_time = args.get_u64("response-time", 100)? as u32;
-    let max_variation = Amps::new(args.get_f64("max-variation", 40.0)?);
+    let max_variation = args.max_variation(40.0)?;
     let config = TuningConfig::isca04_table1(response_time);
     let r = analyze(&supply, clock, &config, max_variation).map_err(|e| e.to_string())?;
     println!(
@@ -192,7 +228,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_fit(args: &Args) -> Result<(), String> {
+fn cmd_fit(args: &Args) -> Result<(), Stop> {
     let truth = args.supply()?;
     let f0 = truth.resonant_frequency().hertz() / 1e6;
     let sweep = ImpedanceSweep::linear(
@@ -230,7 +266,7 @@ fn cmd_fit(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn technique_from(args: &Args) -> Result<Technique, String> {
+fn technique_from(args: &Args) -> Result<Technique, Stop> {
     match args
         .options
         .get("technique")
@@ -250,13 +286,17 @@ fn technique_from(args: &Args) -> Result<Technique, String> {
         "damping" => Ok(Technique::Damping(DampingConfig::isca04_table5(
             args.get_f64("delta", 0.5)?,
         ))),
-        other => Err(format!("unknown technique: {other}")),
+        other => Err(Stop::Usage(format!("unknown technique: {other}"))),
     }
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let app = args.options.get("app").ok_or("run requires --app NAME")?;
-    let profile = spec2k::by_name(app).ok_or(format!("unknown application: {app}"))?;
+fn cmd_run(args: &Args) -> Result<(), Stop> {
+    let app = args
+        .options
+        .get("app")
+        .ok_or_else(|| Stop::Usage("run requires --app NAME".into()))?;
+    let profile =
+        spec2k::by_name(app).ok_or_else(|| Stop::Usage(format!("unknown application: {app}")))?;
     let sim = SimConfig::isca04(args.get_u64("n", 120_000)?);
     let technique = technique_from(args)?;
 
@@ -280,7 +320,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn dispatch() -> Result<(), String> {
+fn dispatch() -> Result<(), Stop> {
     let args = parse_args()?;
     match args.command.as_str() {
         "impedance" => cmd_impedance(&args),
@@ -288,15 +328,23 @@ fn dispatch() -> Result<(), String> {
         "analyze" => cmd_analyze(&args),
         "fit" => cmd_fit(&args),
         "run" => cmd_run(&args),
-        "help" | "--help" | "-h" => Err(USAGE.to_string()),
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
+        "help" | "--help" | "-h" => Err(Stop::Help),
+        other => Err(Stop::Usage(format!("unknown command: {other}"))),
     }
 }
 
 fn main() -> ExitCode {
     match dispatch() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Stop::Help) => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        Err(Stop::Usage(msg)) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            ExitCode::from(bench::EXIT_USAGE as u8)
+        }
+        Err(Stop::Failed(msg)) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }

@@ -27,7 +27,7 @@
 //!
 //! A comma-separated `--connect` list routes through [`crate::mesh`]
 //! instead: this module then provides the per-host machinery (one
-//! [`Core`] per host, probes, severing) while the mesh owns shard
+//! `Core` per host, probes, severing) while the mesh owns shard
 //! routing, circuit breaking, and failover.
 
 use std::collections::HashMap;

@@ -181,7 +181,7 @@ pub enum FaultSpec {
     /// [`FailureKind::Crash`] without executing).
     WorkerAbort,
     /// The worker SIGKILLs itself before the run starts (indistinguishable
-    /// from the OOM killer). Same containment rules as [`WorkerAbort`].
+    /// from the OOM killer). Same containment rules as [`FaultSpec::WorkerAbort`].
     WorkerKill,
 }
 

@@ -7,7 +7,7 @@
 //! work when the failure unwinds politely. This tier adds the hard
 //! boundary: the harness binary re-execs itself (`<exe> worker`) via
 //! [`std::env::current_exe`], and that worker serves job after job. Each
-//! job crosses the child's stdin as one checksummed [`crate::wire`] frame;
+//! job crosses the child's stdin as one checksummed `wire` frame;
 //! the worker acknowledges it, runs it, and writes an optional
 //! observability frame and one reply frame to its stdout.
 //!

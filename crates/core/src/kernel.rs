@@ -1,6 +1,6 @@
 //! The fused hot-path simulation kernel.
 //!
-//! [`run_fused`] is the batched form of the per-cycle chain in
+//! `run_fused` is the batched form of the per-cycle chain in
 //! [`crate::sim`]: controller → CPU → power model → supply. It exploits the
 //! structure of each technique's feedback path to break the cycle-by-cycle
 //! serialization with the supply integrator:
@@ -22,10 +22,13 @@
 //! so the kernel is bit-exact with [`crate::sim`]'s pre-kernel path (pinned
 //! by the golden-trace fixtures and the property suite). Workload decode is
 //! shared across runs of the same application via
-//! [`workloads::shared_stream`], each run's caches start as a clone of the
-//! process's warmed image of their geometry ([`workloads::warmed_caches`];
-//! the reference loop still walks the warm sets itself), and the CPU uses
-//! the event-driven scheduler ([`cpusim::ScanMode::Event`]).
+//! [`workloads::shared_stream`], whose stream unpacks each instruction
+//! from a 16-byte prefix that the process keeps within one byte budget
+//! (the reference loop decodes a private [`workloads::StreamGen`] instead).
+//! Each run's caches start as a clone of the process's warmed image of
+//! their geometry ([`workloads::warmed_caches`]; the reference loop still
+//! walks the warm sets itself), and the CPU uses the event-driven
+//! scheduler ([`cpusim::ScanMode::Event`]).
 //!
 //! The batch length is the constant [`FLUSH_BATCH`]. It cannot change
 //! results ([`run_with_batch`] and the batch-invariance property tests pin

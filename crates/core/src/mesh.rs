@@ -2,7 +2,7 @@
 //! deterministic chaos conductor that torments it in tests.
 //!
 //! A comma-separated `--connect` list arms a [`Mesh`]: one
-//! [`crate::client::Core`] per `restuned` host, with
+//! `client::Core` per `restuned` host, with
 //!
 //! * **rendezvous sharding** — every job hashes its fingerprint against
 //!   each host's *canonicalized endpoint string* ([`rendezvous_order`],

@@ -8,7 +8,7 @@
 //!
 //! * **bounded admission** — a queue limit enforced at request time; an
 //!   over-limit request is rejected with an explicit retry-after frame
-//!   ([`crate::wire::KIND_BUSY`]), never buffered without bound;
+//!   (`wire::KIND_BUSY`), never buffered without bound;
 //! * **per-request deadlines** — a job's own deadline (or the server
 //!   default) propagates into the same watchdog the in-process engine
 //!   uses, so no tenant can pin a worker forever;
@@ -16,7 +16,7 @@
 //!   per turn, so a tenant with a deep queue cannot starve the others;
 //! * **per-client fault containment** — a torn frame, a slow-loris write,
 //!   or a protocol violation kills *that connection only* (the strict
-//!   [`crate::wire::StreamDecoder`] treats any malformed byte as a
+//!   `wire::StreamDecoder` treats any malformed byte as a
 //!   violation); every other tenant is unaffected;
 //! * **graceful drain** — [`Server::drain_and_stop`] stops admitting,
 //!   finishes queued and in-flight jobs (each completed job lands in the

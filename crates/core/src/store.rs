@@ -6,7 +6,7 @@
 //! the run's full identity string ([`run_key`]) plus that string itself,
 //! verified on read. A record is a schema-versioned header, a CRC-trailed
 //! `id=` identity row, and one CRC-trailed data row, written
-//! crash-consistently ([`atomic_write`]).
+//! crash-consistently (`atomic_write`).
 //!
 //! # Durability
 //!

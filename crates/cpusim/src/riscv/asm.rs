@@ -336,16 +336,22 @@ fn parse_operand(line: usize, tok: &str) -> Result<Operand, ParseError> {
     err(line, format!("bad operand `{tok}`"))
 }
 
+/// Parses a decimal or `0x` hex immediate with at most one leading sign.
 fn parse_imm(s: &str) -> Option<i64> {
     let (neg, body) = match s.strip_prefix('-') {
         Some(b) => (true, b),
         None => (false, s.strip_prefix('+').unwrap_or(s)),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()?
-    } else {
-        body.parse::<i64>().ok()?
+    let (digits, radix) = match body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (body, 10),
     };
+    // `from_str_radix` takes a sign of its own, so `--5` or `0x-8` would
+    // parse: only the one sign above may lead.
+    if !digits.bytes().all(|b| char::from(b).is_digit(radix)) {
+        return None;
+    }
+    let v = i64::from_str_radix(digits, radix).ok()?;
     if neg {
         v.checked_neg()
     } else {
@@ -370,7 +376,12 @@ fn reg_num(name: &str) -> Option<u8> {
             // operand may start with any character.
             let mut chars = name.chars();
             let prefix = chars.next()?;
-            let idx: u8 = chars.as_str().parse().ok()?;
+            let digits = chars.as_str();
+            // Digits only: `u8::from_str` would take `x+1` as `x1`.
+            if !digits.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            let idx: u8 = digits.parse().ok()?;
             return match prefix {
                 'x' if idx < 32 => Some(idx),
                 'a' if idx < 8 => Some(10 + idx),

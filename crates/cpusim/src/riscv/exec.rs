@@ -6,7 +6,7 @@
 //! [`crate::isa::SynthInst`] streams; the machine exists to establish the
 //! architectural ground truth (register values, memory contents, branch
 //! directions, effective addresses) that the lowering layer
-//! ([`crate::riscv::lower`]) turns into those streams.
+//! ([`crate::riscv::lower`](mod@crate::riscv::lower)) turns into those streams.
 //!
 //! Execution always flows through the decoder: [`Machine::new`] decodes the
 //! program's encoded words back into [`Inst`]s, so a miscompiled

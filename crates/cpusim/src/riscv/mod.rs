@@ -6,7 +6,7 @@
 //! instruction semantics. This module closes the gap to real code without
 //! changing that: a small assembler ([`asm`]) turns a `.s` corpus into
 //! encoded RV32IM words, an architectural interpreter ([`exec`]) runs them
-//! to completion, and a lowering layer ([`lower`]) replays the retired
+//! to completion, and a lowering layer ([`lower`](mod@lower)) replays the retired
 //! instruction sequence as `SynthInst`s carrying the *true*
 //! microarchitectural attributes: op class from the opcode, dependence
 //! distances from register def-use, effective addresses from execution,

@@ -13,9 +13,9 @@
 //! serving infrastructure:
 //!
 //! * the profile `seed` is an FNV-1a hash of the embedded `.s` source, so
-//!   every Debug-derived fingerprint (run-store keys, job fingerprints,
-//!   shared-stream store keys) changes whenever the program text changes —
-//!   stale caches can never serve results for edited programs;
+//!   every Debug-derived fingerprint (run-store keys, job fingerprints)
+//!   changes whenever the program text changes — stale caches can never
+//!   serve results for edited programs;
 //! * profiles resolve by name through `crate::registry`, exactly like the
 //!   synthetic suite, so wire jobs, stored result rows, and harness filters all
 //!   work unchanged.
@@ -176,8 +176,8 @@ pub struct CorpusReplay {
 }
 
 impl fmt::Debug for CorpusReplay {
-    // Compact on purpose: StreamGen (and the shared-stream store's tail
-    // clones) derive Debug, and the full trace would print megabytes.
+    // Compact on purpose: StreamGen (and so a corpus SharedStream) derives
+    // Debug, and the full trace would print megabytes.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CorpusReplay")
             .field("name", &self.name)
@@ -214,7 +214,10 @@ impl CorpusReplay {
     /// The next instruction, looping past the end of the program.
     pub fn next_inst(&mut self) -> SynthInst {
         let inst = self.trace.insts[self.pos];
-        self.pos = (self.pos + 1) % self.trace.insts.len();
+        self.pos += 1;
+        if self.pos == self.trace.insts.len() {
+            self.pos = 0;
+        }
         inst
     }
 }

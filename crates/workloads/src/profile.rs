@@ -87,7 +87,12 @@ impl OpMix {
     ///
     /// Panics if all weights are zero or any is negative.
     pub fn sample<R: Rng>(&self, rng: &mut R) -> OpClass {
-        let total = self.total();
+        self.sample_with_total(self.total(), rng)
+    }
+
+    /// [`sample`](Self::sample) given [`total`](Self::total), which a
+    /// caller drawing many samples computes once.
+    pub(crate) fn sample_with_total<R: Rng>(&self, total: f64, rng: &mut R) -> OpClass {
         assert!(total > 0.0, "op mix must have positive total weight");
         let mut x = rng.gen_range(0.0..total);
         let buckets = [

@@ -78,6 +78,40 @@ enum Mode {
     Burst { remaining: u32, total: u32 },
 }
 
+/// The longest dependence distance the generator emits.
+pub(crate) const MAX_DIST: u32 = 96;
+
+/// The dependence-distance distribution: geometric on `1..=MAX_DIST` with
+/// a fixed mean, its parameter and logarithm computed once per generator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Geometric {
+    /// `ln(1 − p)`, or `None` when `p` is 1 and every draw is 1.
+    ln_q: Option<f64>,
+}
+
+impl Geometric {
+    /// The distribution with mean `mean`, `p` clamped to `[1e-6, 1]`.
+    pub(crate) fn new(mean: f64) -> Self {
+        let p = (1.0 / mean).clamp(1e-6, 1.0);
+        Geometric {
+            ln_q: (p < 1.0).then(|| (1.0 - p).ln()),
+        }
+    }
+
+    /// One draw: `1 + floor(ln u / ln(1 − p))` for `u` uniform in
+    /// `[ε, 1)`, clamped to `MAX_DIST`. No draw at `p = 1`.
+    #[inline]
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u32 {
+        let Some(ln_q) = self.ln_q else {
+            return 1;
+        };
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        // The quotient is positive, so truncation is `floor`, and a
+        // saturated cast still clamps to MAX_DIST.
+        ((u.ln() / ln_q) as u32).saturating_add(1).min(MAX_DIST)
+    }
+}
+
 /// A deterministic synthetic-application instruction stream.
 ///
 /// # Examples
@@ -96,6 +130,10 @@ enum Mode {
 #[derive(Debug, Clone)]
 pub struct StreamGen {
     profile: WorkloadProfile,
+    /// The op mix's total weight and the dependence distribution, computed
+    /// once.
+    mix_total: f64,
+    dep: Geometric,
     rng: StdRng,
     mode: Mode,
     /// Periods remaining in the current episode (counting the active one).
@@ -121,6 +159,8 @@ impl StreamGen {
         let replay = crate::corpus::CorpusReplay::for_profile(&profile);
         Self {
             rng: StdRng::seed_from_u64(profile.seed),
+            mix_total: profile.mix.total(),
+            dep: Geometric::new(profile.mean_dep),
             profile,
             mode: Mode::Normal,
             periods_left: 0,
@@ -141,22 +181,16 @@ impl StreamGen {
         self.emitted
     }
 
+    /// `true` when the stream replays a corpus program's lowered trace.
+    pub(crate) fn replays_corpus(&self) -> bool {
+        self.replay.is_some()
+    }
+
     /// `true` while the generator is inside a resonant episode. Always
     /// `false` for corpus replays: their resonant behavior is a property of
     /// the program, not an injected generator phase.
     pub fn in_episode(&self) -> bool {
         self.replay.is_none() && self.mode != Mode::Normal
-    }
-
-    fn geometric_dist(&mut self, mean: f64) -> u32 {
-        // Geometric with mean `mean` (support 1..): 1 + floor(ln U / ln(1-p)).
-        let p = (1.0 / mean).clamp(1e-6, 1.0);
-        if p >= 1.0 {
-            return 1;
-        }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let d = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
-        (d as u32).clamp(1, 96)
     }
 
     fn data_address(&mut self) -> u64 {
@@ -223,12 +257,15 @@ impl StreamGen {
     }
 
     fn normal_instruction(&mut self) -> SynthInst {
-        let op = self.profile.mix.sample(&mut self.rng);
+        let op = self
+            .profile
+            .mix
+            .sample_with_total(self.mix_total, &mut self.rng);
         let mut inst = SynthInst {
             op,
-            src1_dist: self.geometric_dist(self.profile.mean_dep),
+            src1_dist: self.dep.sample(&mut self.rng),
             src2_dist: if self.rng.gen_bool(0.5) {
-                self.geometric_dist(self.profile.mean_dep)
+                self.dep.sample(&mut self.rng)
             } else {
                 0
             },
@@ -241,7 +278,7 @@ impl StreamGen {
             OpClass::Load | OpClass::Store => {
                 inst.addr = self.data_address();
                 if op == OpClass::Load && inst.addr >= layout::MEM_BASE {
-                    if self.profile.pointer_chase && self.since_mem_load < 96 {
+                    if self.profile.pointer_chase && self.since_mem_load < MAX_DIST {
                         // The next pointer is loaded from the previous node.
                         inst.src1_dist = self.since_mem_load;
                     }
@@ -571,6 +608,38 @@ mod tests {
         }
         let rate = mis as f64 / branches as f64;
         assert!((rate - 0.10).abs() < 0.02, "mispredict rate {rate}");
+    }
+
+    /// The dependence sampler as it was before `Geometric` prepared it: `p`
+    /// and `ln(1 − p)` on every draw, and `1 + floor(..)` in floating point.
+    fn plain_geometric(rng: &mut StdRng, mean: f64) -> u32 {
+        let p = (1.0 / mean).clamp(1e-6, 1.0);
+        if p >= 1.0 {
+            return 1;
+        }
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let d = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
+        (d as u32).clamp(1, 96)
+    }
+
+    #[test]
+    fn prepared_geometric_equals_the_plain_form() {
+        // p = 1 (means 0.5 and 1), the suite's range, and means whose draws
+        // mostly hit the 96 clamp (p at its 1e-6 floor for the last).
+        let means = [0.5, 1.0, 1.7, 3.0, 6.5, 40.0, 1e3, 1e9];
+        let mut clamped = 0;
+        for (seed, mean) in means.into_iter().enumerate() {
+            let prepared = Geometric::new(mean);
+            let mut plain_rng = StdRng::seed_from_u64(seed as u64);
+            let mut rng = plain_rng.clone();
+            for draw in 0..125_000 {
+                let want = plain_geometric(&mut plain_rng, mean);
+                assert_eq!(prepared.sample(&mut rng), want, "mean {mean}, draw {draw}");
+                clamped += u32::from(want == MAX_DIST);
+            }
+            assert_eq!(rng, plain_rng, "mean {mean}: both draw alike");
+        }
+        assert!(clamped > 100_000, "the clamp bound {clamped} draws");
     }
 
     #[test]

@@ -425,6 +425,14 @@ fn parse_errors_carry_line_numbers() {
         // character panicked the register lookup.
         (".text\nadd x1, x2, \u{fffd} t6\n", 2, "bad operand"),
         (".text\nli x1, -0x-8000000000000000\n", 2, "bad immediate"),
+        // A register index or an immediate takes no second sign.
+        (".text\nadd x+1, x2, x3\n", 2, "bad operand `x+1`"),
+        (".text\nadd x1, a+2, x3\n", 2, "bad operand `a+2`"),
+        (".text\nadd x1, x2, t+3\n", 2, "bad operand `t+3`"),
+        (".text\naddi x1, x2, --5\n", 2, "bad immediate `--5`"),
+        (".text\naddi x1, x2, +-5\n", 2, "bad immediate `+-5`"),
+        (".text\naddi x1, x2, 0x-8\n", 2, "bad immediate `0x-8`"),
+        (".text\naddi x1, x2, 0x+5\n", 2, "bad immediate `0x+5`"),
         (
             ".data\na: .space 16384\nb: .space 16384\n",
             3,
